@@ -16,7 +16,14 @@ from .bridge import (
     reduce_to_canonical,
     sample_transition,
 )
-from .kernel import KernelQuery, density, drift_kernel, survival, transformed_integrand
+from .kernel import (
+    KernelQuery,
+    KernelTable,
+    density,
+    drift_kernel,
+    survival,
+    transformed_integrand,
+)
 from .mc import (
     MCConfig,
     MCEstimate,

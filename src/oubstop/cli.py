@@ -278,23 +278,28 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _solve_beta(alpha: float, gamma: float, z: float, n: int,
-                cfg: RunConfig) -> SolvedBoundary:
-    params = OUBParams(alpha=alpha, gamma=gamma, z=z)
-    solver = SolverConfig(n=n, eps=cfg.solver.eps,
-                          max_iter=cfg.solver.max_iter)
-    return solve_boundary(params, solver)
-
-
 def cmd_figures(cfg: RunConfig) -> int:
     outdir = Path(cfg.out if cfg.out is not None else "figures")
     outdir.mkdir(parents=True, exist_ok=True)
+    solved: dict = {}
+
+    def solve_beta(alpha: float, gamma: float, z: float,
+                   n: int) -> SolvedBoundary:
+        # Each distinct canonical problem is solved once: +-alpha reduce to
+        # the same one, and the figures share their alpha = gamma = 1 curves
+        red = reduce_to_canonical(OUBParams(alpha=alpha, gamma=gamma, z=z))
+        solver = SolverConfig(n=n, eps=cfg.solver.eps,
+                              max_iter=cfg.solver.max_iter)
+        key = (red.canonical, solver)
+        if key not in solved:
+            solved[key] = picard_solve(red.canonical, solver)
+        return SolvedBoundary(reduction=red, canonical=solved[key])
 
     def ztag(z: float) -> str:
         return ("m" if z < 0 else "p") + f"{abs(z):g}" if z else "0"
 
     for z in _FIG_PINS:
-        curves = [_solve_beta(a, 1.0, z, cfg.solver.n, cfg)
+        curves = [solve_beta(a, 1.0, z, cfg.solver.n)
                   for a in _FIG1_ALPHAS]
         t = curves[0].nodes
         bb = z + _BB_SLOPE * np.sqrt(1.0 - t)
@@ -306,7 +311,7 @@ def cmd_figures(cfg: RunConfig) -> int:
         _emit(lines, str(outdir / f"fig1_z{ztag(z)}.csv"))
 
     for z in _FIG_PINS:
-        curves = [_solve_beta(1.0, g, z, cfg.solver.n, cfg)
+        curves = [solve_beta(1.0, g, z, cfg.solver.n)
                   for g in _FIG2_GAMMAS]
         t = curves[0].nodes
         lines = ["t," + ",".join(f"gamma_{g:g}" for g in _FIG2_GAMMAS)]
@@ -316,7 +321,7 @@ def cmd_figures(cfg: RunConfig) -> int:
         _emit(lines, str(outdir / f"fig2_z{ztag(z)}.csv"))
 
     for n in _FIG3_SIZES:
-        curves = [_solve_beta(1.0, 1.0, z, n, cfg) for z in _FIG_PINS]
+        curves = [solve_beta(1.0, 1.0, z, n) for z in _FIG_PINS]
         t = curves[0].nodes
         lines = ["t," + ",".join(f"z_{ztag(z)}" for z in _FIG_PINS)]
         for i, ti in enumerate(t):

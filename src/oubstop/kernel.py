@@ -19,11 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .bridge import OUBParams, _require_canonical, cond_mean, cond_std, drift
+from .bridge import OUBParams, _require_canonical, drift
+# Not called here since KernelTable computes the moments itself; the traced
+# benchmark runs still wrap these two names in this module
+# (perfbench/workloads.py CALL_SITES), so they stay importable from it.
+from .bridge import cond_mean, cond_std  # noqa: F401
 from .transform import TransformContext, envelope
 
 __all__ = [
     "KernelQuery",
+    "KernelTable",
     "survival",
     "density",
     "drift_kernel",
@@ -67,47 +72,94 @@ class KernelQuery:
             raise ValueError("kernel query requires t2 < 1")
 
 
-def drift_kernel(params: OUBParams, t1, x1, t2, x2):
+class KernelTable:
+    """The beta-independent part of K over fixed time pairs 0 <= t1 < t2 < 1.
+
+    The conditional mean is affine in x1, m = slope*x1 + shift, and with
+    w = (x2 - m) / (sqrt(2) v) and rem = |alpha|(1 - t2) the kernel reads
+
+        K = (cz - cm*m) * erfc(w) - cv * exp(-w^2),
+
+    cz = |alpha| z / (2 sinh(rem)), cm = |alpha| coth(rem) / 2 and
+    cv = 2 cm v / sqrt(2 pi). Only x1 and x2 vary between evaluations on the
+    same time pairs, so a solver that sweeps them many times builds the
+    table once and passes it to drift_kernel; t1 and t2 are not kept. The
+    coefficient arrays are at least one-dimensional.
+    """
+
+    __slots__ = ("params", "slope", "shift", "inv_v", "cz", "cm", "cv")
+
+    def __init__(self, params: OUBParams, t1, t2):
+        _require_canonical(params)
+        t1, t2 = np.atleast_1d(np.asarray(t1, dtype=float),
+                               np.asarray(t2, dtype=float))
+        if not ((t1 >= 0.0) & (t1 < t2) & (t2 < 1.0)).all():
+            raise ValueError("kernel table requires 0 <= t1 < t2 < 1")
+        aa = abs(params.alpha)
+        rem = aa * (1.0 - t2)
+        sinh_rem = np.sinh(rem)
+        sinh_gap = np.sinh(aa * (t2 - t1))
+        sinh_start = np.sinh(aa * (1.0 - t1))
+        self.params = params
+        # the conditional moments of bridge.cond_mean and bridge.cond_std
+        self.slope = sinh_rem / sinh_start
+        self.shift = params.z * sinh_gap / sinh_start
+        v = np.sqrt(params.gamma ** 2 / aa * self.slope * sinh_gap)
+        self.inv_v = _INV_SQRT2 / v
+        self.cz = 0.5 * aa * params.z / sinh_rem
+        self.cm = 0.5 * aa * np.cosh(rem) / sinh_rem
+        self.cv = 2.0 * _INV_SQRT_2PI * self.cm * v
+
+    def evaluate(self, x1, x2) -> np.ndarray:
+        """K at (x1, x2), broadcast against the table's time pairs."""
+        # the class formula, in place: every line below rewrites m, w or out
+        m = self.slope * x1
+        m += self.shift
+        w = x2 - m
+        w *= self.inv_v
+        out = erfc(w)
+        m *= self.cm
+        np.subtract(self.cz, m, out=m)
+        out *= m
+        w *= w
+        np.negative(w, out=w)
+        np.exp(w, out=w)
+        w *= self.cv
+        out -= w
+        return out
+
+
+def drift_kernel(params: OUBParams, t1, x1, t2, x2, table=None):
     """Evaluate K(t1, x1, t2, x2) for canonical params; broadcasts over
     array arguments.
 
     Raises for t2 >= 1. At t2 == t1 the continuity limit
-    drift(t2, x1) * 1{x1 >= x2} is returned.
+    drift(t2, x1) * 1{x1 >= x2} is returned. With a KernelTable built for
+    params, pass t1 = t2 = None: the times are the table's, and the result
+    is the array table.evaluate(x1, x2).
     """
-    _require_canonical(params)
+    if table is not None:
+        if t1 is not None or t2 is not None or table.params != params:
+            raise ValueError("with a table, pass t1 = t2 = None and the "
+                             "params it was built for")
+        return table.evaluate(x1, x2)
     t1 = np.asarray(t1, dtype=float)
     x1 = np.asarray(x1, dtype=float)
     t2 = np.asarray(t2, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    if np.any(t2 >= 1.0):
-        raise ValueError("kernel undefined at t2 >= 1")
-    if np.any(t2 < t1):
-        raise ValueError("kernel requires t2 >= t1")
-
-    aa = abs(params.alpha)
-    z = params.z
-    m = cond_mean(params, t1, x1, t2)
-    v = cond_std(params, t1, t2)
-
-    degenerate = np.asarray(v == 0.0)
-    if not degenerate.any():
-        u = (x2 - m) / v
-        s = survival(u)
-        p = density(u)
-        rem = aa * (1.0 - t2)
-        out = aa * (z * s - np.cosh(rem) * (m * s + v * p)) / np.sinh(rem)
-        out = np.asarray(out)
+    shape = np.broadcast(t1, x1, t2, x2).shape
+    equal = t2 == t1
+    if not equal.any():
+        out = KernelTable(params, t1, t2).evaluate(x1, x2).reshape(shape)
         return out if out.ndim else float(out)
 
-    vsafe = np.where(degenerate, 1.0, v)
-    u = (x2 - m) / vsafe
-    s = survival(u)
-    p = density(u)
-    rem = aa * (1.0 - t2)
-    main = aa * (z * s - np.cosh(rem) * (m * s + vsafe * p)) / np.sinh(rem)
-    limit = drift(params, t2, x1) * (x1 >= x2)
-    out = np.where(degenerate, limit, main)
-    out = np.asarray(out)
+    t1, x1, t2, x2 = np.broadcast_arrays(t1, x1, t2, x2)
+    equal = t2 == t1
+    later = ~equal
+    out = np.empty(shape)
+    out[equal] = drift(params, t2[equal], x1[equal]) * (x1[equal] >= x2[equal])
+    out[later] = KernelTable(params, t1[later], t2[later]).evaluate(
+        x1[later], x2[later])
     return out if out.ndim else float(out)
 
 

@@ -31,7 +31,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .bridge import OUBParams, _require_canonical, cond_mean, cond_std, drift
 from .kernel import KernelQuery, density
@@ -299,6 +298,10 @@ def kernel_oracle(params: OUBParams, q: KernelQuery) -> float:
     Gaussian mass below 1e-30 of the total. Independent of the closed form
     in oubstop.kernel.
     """
+    # imported here, its only use: scipy.integrate is a third of the cost
+    # of importing oubstop
+    from scipy.integrate import quad
+
     _require_canonical(params)
     if q.t2 == q.t1:
         return drift(params, q.t2, q.x1) * (1.0 if q.x1 >= q.x2 else 0.0)

@@ -31,7 +31,7 @@ from .bridge import (
     _require_canonical,
     reduce_to_canonical,
 )
-from .kernel import drift_kernel
+from .kernel import KernelTable, drift_kernel
 
 __all__ = [
     "TimeGrid",
@@ -174,27 +174,31 @@ def boundary_eval(sol: BoundarySolution, t):
     return out if out.ndim else float(out)
 
 
-def _triangle(grid: TimeGrid):
-    # Flat index arrays of the right Riemann sum: rows i = 0..N-1 paired
-    # with columns j = i..N-2 (the j = N-1 addend is dropped).
+def _triangle(params: OUBParams, grid: TimeGrid):
+    # The right Riemann sum as a flat operator: rows i = 0..N-2 paired
+    # with right endpoints j = i+1..N-1 of the cells (t_{j-1}, t_j); the
+    # addend ending at t_N = 1 is dropped. Built once per solve: a sweep
+    # only gathers beta at both ends of each pair.
     t = grid.nodes
     n = grid.n
     i_idx, j_idx = np.triu_indices(n - 1)
+    w = np.diff(t)[j_idx]
+    j_idx += 1
     return {
         "i": i_idx,
         "j": j_idx,
-        "t1": t[i_idx],
-        "t2": t[j_idx + 1],
-        "w": np.diff(t)[j_idx],
+        "w": w,
+        "table": KernelTable(params, t[i_idx], t[j_idx]),
         "n": n,
     }
 
 
 def _picard_sweep(params: OUBParams, tri, beta: np.ndarray) -> np.ndarray:
     """One full-boundary update of the discretised Volterra equation."""
-    k = drift_kernel(params, tri["t1"], beta[tri["i"]],
-                     tri["t2"], beta[tri["j"] + 1])
-    sums = np.bincount(tri["i"], weights=k * tri["w"], minlength=tri["n"])
+    k = drift_kernel(params, None, beta[tri["i"]], None, beta[tri["j"]],
+                     table=tri["table"])
+    k *= tri["w"]
+    sums = np.bincount(tri["i"], weights=k, minlength=tri["n"])
     new = np.empty_like(beta)
     new[:-1] = params.z - sums
     new[-1] = params.z
@@ -211,7 +215,7 @@ def picard_solve(params: OUBParams, cfg: SolverConfig = SolverConfig()) -> Bound
     """
     _require_canonical(params)
     grid = cfg.build_grid()
-    tri = _triangle(grid)
+    tri = _triangle(params, grid)
     beta = np.full(grid.nodes.size, params.z, dtype=float)
     residual = math.inf
     for k in range(1, cfg.max_iter + 1):
@@ -247,12 +251,12 @@ def backward_solve(params: OUBParams, cfg: SolverConfig = SolverConfig()) -> Bou
     worst = 0.0
 
     for i in range(n - 2, -1, -1):
-        t2 = t[i + 1:n]
         x2 = beta[i + 1:n]
         w = dt[i:n - 1]
+        table = KernelTable(params, t[i], t[i + 1:n])
 
         def g(b: float) -> float:
-            k = drift_kernel(params, t[i], b, t2, x2)
+            k = drift_kernel(params, None, b, None, x2, table=table)
             return z - float(np.dot(k, w))
 
         b = beta[i + 1]

@@ -1,6 +1,14 @@
 import numpy as np
 
-from oubstop import TimeGrid, BoundarySolution, boundary_eval
+from oubstop import (
+    BoundarySolution,
+    OUBParams,
+    SolverConfig,
+    TimeGrid,
+    boundary_eval,
+    solve_boundary,
+)
+from oubstop import cli
 from oubstop.cli import main, read_boundary_csv
 
 
@@ -219,6 +227,43 @@ def test_figures_datasets(tmp_path):
                            - np.interp(curves[100][:, 0], curves[500][:, 0],
                                        curves[500][:, col])))
         assert d2 < d1
+
+
+def test_figures_solve_each_problem_once(tmp_path, monkeypatch):
+    solves = []
+    picard_solve = cli.picard_solve
+
+    def counted(params, cfg):
+        solves.append((params, cfg))
+        return picard_solve(params, cfg)
+
+    monkeypatch.setattr(cli, "picard_solve", counted)
+    outdir = tmp_path / "figs"
+    assert run_cli("figures", "--n", "60", "--out", str(outdir)) == 0
+    # fig1: 9 of 18 (+-alpha), fig2: 6 new of 9 (gamma = 1 is fig1's
+    # alpha = 1), fig3: 9 (none at N = 60)
+    assert len(solves) == len(set(solves)) == 24
+
+    def columns(name):
+        rows = (outdir / name).read_text().strip().splitlines()
+        return np.array([[float(c) for c in r.split(",")] for r in rows[1:]])
+
+    def alone(alpha, gamma, z, n):
+        # the same curve from its own solve; 17 digits round-trip exactly
+        return solve_boundary(OUBParams(alpha=alpha, gamma=gamma, z=z),
+                              SolverConfig(n=n)).values
+
+    for z, tag in ((0.0, "0"), (-5.0, "m5"), (5.0, "p5")):
+        fig1 = columns(f"fig1_z{tag}.csv")
+        for col, alpha in enumerate((0.01, -0.01, 1.0, -1.0, 5.0, -5.0), 1):
+            assert np.array_equal(fig1[:, col], alone(alpha, 1.0, z, 60))
+        fig2 = columns(f"fig2_z{tag}.csv")
+        for col, gamma in enumerate((0.5, 1.0, 2.0), 1):
+            assert np.array_equal(fig2[:, col], alone(1.0, gamma, z, 60))
+    for n in (10, 100, 500):
+        fig3 = columns(f"fig3_n{n}.csv")
+        for col, z in enumerate((0.0, -5.0, 5.0), 1):
+            assert np.array_equal(fig3[:, col], alone(1.0, 1.0, z, n) - z)
 
 
 def test_validation_errors_exit_code(capsys):

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -257,3 +260,15 @@ def test_paths_pinned_at_horizon(std_params):
     for k in range(slope.size):
         x = _advance(x, k, slope, shift, sd, rng.standard_normal(x.size))
     assert np.all(x == std_params.z)
+
+
+def test_import_leaves_quadrature_out():
+    # only the kernel oracle needs scipy.integrate; it imports it on use
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules["oubstop"].__file__)))
+    code = ("import sys, oubstop; "
+            "print(any(m.startswith('scipy.integrate') for m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"

@@ -10,11 +10,13 @@ from oubstop import (
     TimeGrid,
     backward_solve,
     boundary_eval,
+    drift_kernel,
     log_partition,
     picard_solve,
     solve_boundary,
     uniform_partition,
 )
+from oubstop.solver import _picard_sweep, _triangle
 
 
 def test_log_partition_endpoints_and_midpoint():
@@ -206,3 +208,31 @@ def test_solve_boundary_method_choice():
     assert sb.canonical.method == "backward"
     with pytest.raises(ValueError):
         solve_boundary(p, cfg, method="newton")
+
+
+@pytest.mark.parametrize("alpha", (0.01, 1.0, 5.0))
+@pytest.mark.parametrize("gamma", (0.5, 1.0, 2.0))
+@pytest.mark.parametrize("z", (-5.0, 0.0, 5.0))
+def test_operator_sweep_matches_row_by_row(alpha, gamma, z):
+    # one sweep of the precomputed operator against the same sweep rebuilt
+    # row by row from the public kernel, from the same boundary
+    p = OUBParams(alpha=alpha, gamma=gamma, z=z)
+    grid = log_partition(60)
+    t, n = grid.nodes, grid.n
+    dt = np.diff(t)
+    beta = z + 0.84 * gamma * np.sqrt(1.0 - t)
+    beta[-1] = z
+    tri = _triangle(p, grid)
+    swept = _picard_sweep(p, tri, beta)
+    rows = [z - float(np.dot(drift_kernel(p, t[i], beta[i], t[i + 1:n],
+                                          beta[i + 1:n]), dt[i:n - 1]))
+            for i in range(n - 1)]
+    assert swept[-2] == swept[-1] == z
+    assert np.max(np.abs(swept[:-2] - rows)) <= 1e-14 * (1.0 + abs(z))
+
+    # the table path is the kernel itself, not an approximation of it
+    i, j = np.triu_indices(n - 1)
+    x1, x2 = beta[i], beta[j + 1]
+    direct = drift_kernel(p, t[i], x1, t[j + 1], x2)
+    tabled = drift_kernel(p, None, x1, None, x2, table=tri["table"])
+    assert np.array_equal(direct, tabled)
