@@ -19,7 +19,11 @@ import numpy as np
 
 from .bridge import OUBParams, reduce_to_canonical
 from .kernel import KernelQuery, drift_kernel
-from .mc import MCConfig, kernel_oracle, perturbation_test, simulate_stopped_payoff
+from .mc import MCConfig, kernel_oracle, perturbation_test
+# Not called here since verify takes its estimate from perturbation_test's
+# baseline; the traced benchmark runs still wrap this name in this module
+# (perfbench/workloads.py CALL_SITES), so it stays importable from it.
+from .mc import simulate_stopped_payoff  # noqa: F401
 from .pricing import ValueSurfaceQuery, value
 from .solver import (
     BoundarySolution,
@@ -202,10 +206,10 @@ def cmd_value(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_checks(cfg: RunConfig, sol: BoundarySolution):
-    """Yield (name, statistic, threshold, passed) verification rows."""
-    red = reduce_to_canonical(cfg.params)
-    params = red.canonical
+def _verify_checks(cfg: RunConfig, params: OUBParams,
+                   sol: BoundarySolution):
+    """Yield (name, statistic, threshold, passed) verification rows for the
+    canonical problem params."""
     z, gamma = params.z, params.gamma
 
     yield ("terminal_pinning", abs(float(sol.beta[-1]) - z), 0.0,
@@ -225,7 +229,11 @@ def _verify_checks(cfg: RunConfig, sol: BoundarySolution):
 
     mccfg = MCConfig(paths=cfg.paths, seed=cfg.seed, workers=cfg.workers)
     v0 = value(params, sol, ValueSurfaceQuery(t=0.0, x=z))
-    est = simulate_stopped_payoff(params, sol, 0.0, z, mccfg)
+    # one simulation: the unshifted rule is the baseline of the paired
+    # perturbation test (common random numbers)
+    report = perturbation_test(params, sol, (0.25 * gamma, -0.25 * gamma),
+                               0.0, z, mccfg)
+    est = report.baseline
     # MC stops in continuous time, but the discretised boundary next to the
     # horizon leaves it below v0 (about 1.4e-3 at N=500, shrinking with N);
     # allow for it explicitly so a correct solution verifies cleanly at any N
@@ -233,8 +241,6 @@ def _verify_checks(cfg: RunConfig, sol: BoundarySolution):
     stat = abs(est.mean - v0)
     yield ("mc_value_consistency", stat, allowance, stat <= allowance)
 
-    report = perturbation_test(params, sol, (0.25 * gamma, -0.25 * gamma),
-                               0.0, z, mccfg)
     for entry in report.entries:
         name = "perturbation_up" if entry.delta > 0 else "perturbation_down"
         stat = entry.mean_diff / entry.se_diff if entry.se_diff > 0 else 0.0
@@ -270,7 +276,7 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
 
     lines = ["check,statistic,threshold,result"]
     failed = False
-    for name, stat, thr, ok in _verify_checks(cfg, sol):
+    for name, stat, thr, ok in _verify_checks(cfg, red.canonical, sol):
         failed = failed or not ok
         lines.append(f"{name},{stat:.10g},{thr:.10g},"
                      f"{'pass' if ok else 'fail'}")

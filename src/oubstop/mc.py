@@ -255,11 +255,7 @@ def simulate_stopped_payoff(params: OUBParams, sol: BoundarySolution,
     the rule stops too low next to the horizon. That residual shrinks as N
     grows and does not depend on the monitoring mesh.
     """
-    _require_canonical(params)
-    if not (0.0 <= t0 < 1.0):
-        raise ValueError("t0 must be in [0, 1)")
-    payoffs = _run_payoffs(params, sol, t0, x0, cfg, (0.0,))[0]
-    return _estimate(payoffs)
+    return perturbation_test(params, sol, (), t0, x0, cfg).baseline
 
 
 def perturbation_test(params: OUBParams, sol: BoundarySolution,

@@ -1,14 +1,20 @@
 import numpy as np
+import pytest
 
 from oubstop import (
     BoundarySolution,
+    MCConfig,
     OUBParams,
     SolverConfig,
     TimeGrid,
+    ValueSurfaceQuery,
     boundary_eval,
+    picard_solve,
+    simulate_stopped_payoff,
     solve_boundary,
+    value,
 )
-from oubstop import cli
+from oubstop import cli, mc
 from oubstop.cli import main, read_boundary_csv
 
 
@@ -160,6 +166,47 @@ def test_verify_passes_and_is_deterministic(tmp_path):
                      "mc_value_consistency", "perturbation_up",
                      "perturbation_down", "boundary_lower_bound"}
     assert all(r.endswith("pass") for r in rows[1:])
+
+
+def test_verify_simulates_once_and_keeps_numbers(tmp_path, monkeypatch):
+    runs = []
+    run_payoffs = mc._run_payoffs
+
+    def counted(*args):
+        runs.append(args[-1])
+        return run_payoffs(*args)
+
+    monkeypatch.setattr(mc, "_run_payoffs", counted)
+    out = tmp_path / "r.csv"
+    assert run_cli("verify", "--n", "150", "--paths", "20000", "--seed", "9",
+                   "--out", str(out)) == 0
+    # the MC row and both perturbation rows come from one simulation
+    assert runs == [(0.0, 0.25, -0.25)]
+
+    rows = dict(r.split(",", 1)
+                for r in out.read_text().strip().splitlines()[1:])
+    params = OUBParams(alpha=1.0, gamma=1.0, z=0.0)
+    sol = picard_solve(params, SolverConfig(n=150))
+    est = simulate_stopped_payoff(params, sol, 0.0, 0.0,
+                                  MCConfig(paths=20000, seed=9))
+    v0 = value(params, sol, ValueSurfaceQuery(t=0.0, x=0.0))
+    stat = rows["mc_value_consistency"].split(",")[0]
+    assert stat == f"{abs(est.mean - v0):.10g}"
+
+
+@pytest.mark.parametrize("alpha,gamma,z", [
+    (1.0, 1.0, -5.0), (1.0, 0.5, -5.0), (5.0, 1.0, -5.0), (1.0, 2.0, 5.0)])
+def test_verify_lower_bound_away_from_zero_pin(alpha, gamma, z, tmp_path):
+    # the f' form of the transformed lower bound holds off z = 0 as well
+    # (margins about 0.20, 0.17, 0.08 and 1.27 at N = 500)
+    out = tmp_path / "r.csv"
+    run_cli("verify", "--alpha", str(alpha), "--gamma", str(gamma),
+            "--z", str(z), "--n", "500", "--paths", "2000",
+            "--out", str(out))
+    row = next(r for r in out.read_text().splitlines()
+               if r.startswith("boundary_lower_bound,"))
+    _, margin, _, result = row.split(",")
+    assert result == "pass" and float(margin) > 0.0
 
 
 def test_verify_detects_tampered_boundary(tmp_path):
