@@ -9,12 +9,10 @@ Monte Carlo and quadrature oracles.
 from .bridge import (
     CanonicalReduction,
     OUBParams,
-    ProcessState,
     cond_mean,
     cond_std,
     drift,
     reduce_to_canonical,
-    sample_transition,
 )
 from .kernel import (
     KernelQuery,
@@ -45,7 +43,6 @@ from .solver import (
     log_partition,
     picard_solve,
     solve_boundary,
-    uniform_partition,
 )
 from .transform import (
     TransformContext,
@@ -59,7 +56,6 @@ from .transform import (
     kappa_inv,
     make_context,
     original_to_transformed,
-    psi,
     upsilon,
     upsilon_inv,
     value_to_original,

@@ -24,12 +24,10 @@ import numpy as np
 
 __all__ = [
     "OUBParams",
-    "ProcessState",
     "CanonicalReduction",
     "drift",
     "cond_mean",
     "cond_std",
-    "sample_transition",
     "reduce_to_canonical",
 ]
 
@@ -67,21 +65,6 @@ class OUBParams:
     @property
     def is_canonical(self) -> bool:
         return self.theta == 0.0 and self.horizon == 1.0
-
-
-@dataclass(frozen=True)
-class ProcessState:
-    """A (time, position) point of the bridge, with t strictly before the
-    horizon (the state at the horizon is deterministic)."""
-
-    t: float
-    x: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.t) and math.isfinite(self.x)):
-            raise ValueError("state must be finite")
-        if self.t < 0.0:
-            raise ValueError("t must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -207,20 +190,3 @@ def cond_std(params: OUBParams, t1, t2):
         * np.sinh(aa * (t2 - t1)) / np.sinh(aa * (1.0 - t1))
     out = np.sqrt(var)
     return out if out.ndim else float(out)
-
-
-def sample_transition(params: OUBParams, state: ProcessState, t2: float,
-                      rng: np.random.Generator, size=None):
-    """Draw X_{t2} given X_{state.t} = state.x from the exact Gaussian
-    transition law.
-
-    Deterministic given the generator state; at t2 = 1 the draw is exactly
-    z (zero variance). `size=None` returns a scalar.
-    """
-    _require_canonical(params)
-    if not (state.t < t2 <= 1.0):
-        raise ValueError("sample_transition requires state.t < t2 <= 1")
-    m = cond_mean(params, state.t, state.x, t2)
-    s = cond_std(params, state.t, t2)
-    draw = m + s * rng.standard_normal(size)
-    return draw if size is not None else float(draw)

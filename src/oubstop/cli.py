@@ -89,7 +89,10 @@ def read_boundary_csv(path: str):
     rows = Path(path).read_text(encoding="utf-8").strip().splitlines()
     if not rows or rows[0] != "t,beta":
         raise ValueError(f"{path}: expected header 't,beta'")
-    data = np.array([[float(c) for c in r.split(",")] for r in rows[1:]])
+    fields = [r.split(",") for r in rows[1:]]
+    if not fields or any(len(f) != 2 for f in fields):
+        raise ValueError(f"{path}: expected one or more 't,beta' data rows")
+    data = np.array([[float(c) for c in f] for f in fields])
     return data[:, 0], data[:, 1]
 
 

@@ -6,8 +6,9 @@ restricted to the region above the threshold x2, conditional on X_{t1} = x1:
     K = alpha * (z*S - cosh(a(1-t2)) * (m*S + v*p)) / sinh(a(1-t2)),
 
 where m, v are the conditional mean/std of X_{t2}, u = (x2 - m)/v, and
-S = survival(u), p = density(u). It is undefined at t2 = 1 and extended by
-continuity at t2 = t1 (drift times an indicator). The transformed-space
+S = survival(u), p = density(u). It is evaluated for t1 < t2 < 1 only: it
+is undefined at t2 = 1, and no Riemann row of the pricing equations has
+t2 = t1, so there is no continuity extension there. The transformed-space
 integrand plays the same role for the Brownian-motion formulation and is
 kept only as a verification mirror.
 """
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .bridge import OUBParams, _require_canonical, drift
+from .bridge import OUBParams, _require_canonical
 # Not called here since KernelTable computes the moments itself; the traced
 # benchmark runs still wrap these two names in this module
 # (perfbench/workloads.py CALL_SITES), so they stay importable from it.
@@ -133,10 +134,9 @@ def drift_kernel(params: OUBParams, t1, x1, t2, x2, table=None):
     """Evaluate K(t1, x1, t2, x2) for canonical params; broadcasts over
     array arguments.
 
-    Raises for t2 >= 1. At t2 == t1 the continuity limit
-    drift(t2, x1) * 1{x1 >= x2} is returned. With a KernelTable built for
-    params, pass t1 = t2 = None: the times are the table's, and the result
-    is the array table.evaluate(x1, x2).
+    Raises unless 0 <= t1 < t2 < 1. With a KernelTable built for params,
+    pass t1 = t2 = None: the times are the table's, and the result is the
+    array table.evaluate(x1, x2).
     """
     if table is not None:
         if t1 is not None or t2 is not None or table.params != params:
@@ -148,18 +148,7 @@ def drift_kernel(params: OUBParams, t1, x1, t2, x2, table=None):
     t2 = np.asarray(t2, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     shape = np.broadcast(t1, x1, t2, x2).shape
-    equal = t2 == t1
-    if not equal.any():
-        out = KernelTable(params, t1, t2).evaluate(x1, x2).reshape(shape)
-        return out if out.ndim else float(out)
-
-    t1, x1, t2, x2 = np.broadcast_arrays(t1, x1, t2, x2)
-    equal = t2 == t1
-    later = ~equal
-    out = np.empty(shape)
-    out[equal] = drift(params, t2[equal], x1[equal]) * (x1[equal] >= x2[equal])
-    out[later] = KernelTable(params, t1[later], t2[later]).evaluate(
-        x1[later], x2[later])
+    out = KernelTable(params, t1, t2).evaluate(x1, x2).reshape(shape)
     return out if out.ndim else float(out)
 
 

@@ -4,9 +4,9 @@ The production path works in original coordinates:
 
     V(t, x) = z - integral_t^1 K(t, x, u, beta(u)) du,
 
-discretised by the same right Riemann sum as the solver (the addend ending
-at u = 1 is dropped), on the solver's own mesh restricted to (t, 1) so that
-value-matching at the boundary holds by construction of the shared
+discretised by the solver's own right Riemann rule (solver._riemann_rows:
+the solver mesh restricted to (t, 1), the addend ending at u = 1 dropped),
+so that value-matching at the boundary holds by construction of the shared
 discretisation. In the stopping region x >= beta(t) the identity V = x is
 applied directly instead of quadrature.
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from .bridge import OUBParams, _require_canonical
 from .kernel import drift_kernel, transformed_integrand
-from .solver import BoundarySolution, boundary_eval, log_partition
+from .solver import BoundarySolution, _riemann_rows, boundary_eval
 from .transform import TransformContext, gain, original_to_transformed, upsilon, upsilon_inv
 
 __all__ = ["ValueSurfaceQuery", "value", "transformed_value"]
@@ -36,39 +36,14 @@ _TRUNCATION_TIME = 1.0 - 1e-6
 
 @dataclass(frozen=True)
 class ValueSurfaceQuery:
-    """A (t, x) evaluation request, t in [0, 1).
-
-    quadrature_nodes=None reuses the solver mesh (the default and the
-    recommended choice); an integer builds a fresh logarithmic mesh of that
-    size instead.
-    """
+    """A (t, x) evaluation request, t in [0, 1)."""
 
     t: float
     x: float
-    quadrature_nodes: int | None = None
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.t < 1.0):
             raise ValueError("value query requires t in [0, 1)")
-        if self.quadrature_nodes is not None and self.quadrature_nodes < 2:
-            raise ValueError("quadrature_nodes must be >= 2")
-
-
-def _quad_mesh(sol: BoundarySolution, q: ValueSurfaceQuery):
-    # Right-endpoint evaluation nodes in (t, t_{N-1}]; the strip between
-    # the last interior node and the horizon is the dropped addend. A
-    # custom mesh truncates at the same node: past it the interpolated
-    # boundary carries no information.
-    cutoff = sol.grid.nodes[-2]
-    if q.quadrature_nodes is None:
-        grid = sol.grid.nodes
-        mask = grid > q.t
-        return grid[mask][:-1], sol.beta[mask][:-1]
-    grid = log_partition(q.quadrature_nodes).nodes
-    nodes = grid[(grid > q.t) & (grid < cutoff)]
-    if q.t < cutoff:
-        nodes = np.concatenate((nodes, [cutoff]))
-    return nodes, boundary_eval(sol, nodes)
 
 
 def value(params: OUBParams, sol: BoundarySolution, q: ValueSurfaceQuery,
@@ -82,13 +57,12 @@ def value(params: OUBParams, sol: BoundarySolution, q: ValueSurfaceQuery,
     _require_canonical(params)
     if clamp and q.x >= boundary_eval(sol, q.t):
         return float(q.x)
-    nodes, bvals = _quad_mesh(sol, q)
-    if nodes.size == 0:
+    _, j, w = _riemann_rows(sol.grid.nodes, q.t)
+    if j.size == 0:
         # the whole remaining time lies in the dropped terminal strip
         return float(params.z)
-    widths = np.diff(np.concatenate(([q.t], nodes)))
-    k = drift_kernel(params, q.t, q.x, nodes, bvals)
-    return float(params.z - np.dot(k, widths))
+    k = drift_kernel(params, q.t, q.x, sol.grid.nodes[j], sol.beta[j])
+    return float(params.z - np.dot(k, w))
 
 
 def _boundary_transformed(ctx: TransformContext, sol: BoundarySolution, s):

@@ -41,7 +41,6 @@ __all__ = [
     "ConvergenceError",
     "ScalarSolveError",
     "log_partition",
-    "uniform_partition",
     "picard_solve",
     "backward_solve",
     "boundary_eval",
@@ -110,12 +109,6 @@ def log_partition(n: int) -> TimeGrid:
     return TimeGrid(t)
 
 
-def uniform_partition(n: int) -> TimeGrid:
-    if n < 2:
-        raise ValueError("need n >= 2")
-    return TimeGrid(np.linspace(0.0, 1.0, n + 1))
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Solver knobs; defaults follow the reference setup (N = 500,
@@ -124,7 +117,6 @@ class SolverConfig:
     n: int = 500
     eps: float = 1e-4
     max_iter: int = 500
-    mesh_kind: str = "logarithmic"
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -133,12 +125,8 @@ class SolverConfig:
             raise ValueError("eps must be > 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.mesh_kind not in ("logarithmic", "uniform"):
-            raise ValueError("mesh_kind must be 'logarithmic' or 'uniform'")
 
     def build_grid(self) -> TimeGrid:
-        if self.mesh_kind == "uniform":
-            return uniform_partition(self.n)
         return log_partition(self.n)
 
 
@@ -174,22 +162,41 @@ def boundary_eval(sol: BoundarySolution, t):
     return out if out.ndim else float(out)
 
 
+def _riemann_rows(nodes: np.ndarray, starts):
+    """The right Riemann sum of integral_s^1 f(u) du on the grid nodes, for
+    each start s in starts (0 <= s < 1), as flat arrays (row, j, w).
+
+    Row r (the index of its start) sums w * f(t_j) over the right endpoints
+    t_j in (s, t_{N-1}], where w is the width from t_j back to the previous
+    endpoint, or back to s itself for the first one. The addend ending at
+    t_N = 1 is dropped: the kernel is undefined there. Picard, backward
+    induction and pricing.value all take their quadrature from here.
+    """
+    starts = np.atleast_1d(np.asarray(starts, dtype=float))
+    first = np.searchsorted(nodes, starts, side="right")
+    counts = np.maximum(nodes.size - 1 - first, 0)  # endpoints first..N-1
+    row = np.repeat(np.arange(starts.size), counts)
+    head = np.cumsum(counts) - counts  # flat index of each row's first entry
+    j = np.arange(row.size)
+    j += np.repeat(first - head, counts)
+    w = np.diff(nodes)[j - 1]
+    live = counts > 0
+    w[head[live]] = nodes[first[live]] - starts[live]
+    return row, j, w
+
+
 def _triangle(params: OUBParams, grid: TimeGrid):
-    # The right Riemann sum as a flat operator: rows i = 0..N-2 paired
-    # with right endpoints j = i+1..N-1 of the cells (t_{j-1}, t_j); the
-    # addend ending at t_N = 1 is dropped. Built once per solve: a sweep
-    # only gathers beta at both ends of each pair.
+    # The Riemann rows of the starts t_0..t_{N-2} as one flat operator,
+    # built once per solve: a sweep only gathers beta at both ends of each
+    # pair.
     t = grid.nodes
-    n = grid.n
-    i_idx, j_idx = np.triu_indices(n - 1)
-    w = np.diff(t)[j_idx]
-    j_idx += 1
+    i_idx, j_idx, w = _riemann_rows(t, t[:-2])
     return {
         "i": i_idx,
         "j": j_idx,
         "w": w,
         "table": KernelTable(params, t[i_idx], t[j_idx]),
-        "n": n,
+        "n": grid.n,
     }
 
 
@@ -210,8 +217,9 @@ def picard_solve(params: OUBParams, cfg: SolverConfig = SolverConfig()) -> Bound
 
     Starts from the constant boundary z and stops at the first iteration
     whose sup-norm change is below cfg.eps. Raises ConvergenceError (with
-    the last iterate attached) if max_iter is exhausted; the reference
-    configurations converge in a few dozen sweeps.
+    the last iterate attached) if max_iter is exhausted. The sweep count
+    depends on the problem: 15 at alpha = gamma = 1, z = 0, but 205-225 at
+    z = -5 with alpha = 5 or gamma = 0.5 (N = 500).
     """
     _require_canonical(params)
     grid = cfg.build_grid()
@@ -234,15 +242,14 @@ def picard_solve(params: OUBParams, cfg: SolverConfig = SolverConfig()) -> Bound
 def backward_solve(params: OUBParams, cfg: SolverConfig = SolverConfig()) -> BoundarySolution:
     """Solve node-by-node from the pinned terminal value.
 
-    At node i the scalar equation b = z - sum_j K(t_i, b, t_{j+1},
-    beta_{j+1}) dt_j is solved with the later nodes already fixed: plain
+    At node i the scalar equation b = z - sum_j w_j K(t_i, b, t_j, beta_j),
+    over node i's Riemann row, is solved with the later nodes fixed: plain
     fixed-point steps first, damped by 0.5 after 20 steps, with a bisection
     fallback on the bracket [z - 10*gamma, z + 10*gamma].
     """
     _require_canonical(params)
     grid = cfg.build_grid()
     t = grid.nodes
-    dt = np.diff(t)
     n = grid.n
     z = params.z
     tol = 1e-9 * max(1.0, params.gamma)
@@ -251,9 +258,9 @@ def backward_solve(params: OUBParams, cfg: SolverConfig = SolverConfig()) -> Bou
     worst = 0.0
 
     for i in range(n - 2, -1, -1):
-        x2 = beta[i + 1:n]
-        w = dt[i:n - 1]
-        table = KernelTable(params, t[i], t[i + 1:n])
+        _, j, w = _riemann_rows(t, t[i])
+        x2 = beta[j]
+        table = KernelTable(params, t[i], t[j])
 
         def g(b: float) -> float:
             k = drift_kernel(params, None, b, None, x2, table=table)

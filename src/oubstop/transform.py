@@ -27,7 +27,6 @@ __all__ = [
     "make_context",
     "kappa",
     "kappa_inv",
-    "psi",
     "upsilon",
     "upsilon_inv",
     "envelope",
@@ -96,17 +95,9 @@ def _kappa_gap(alpha: float, t):
     return math.exp(-2.0 * alpha) * np.expm1(2.0 * alpha * (1.0 - t)) / (2.0 * alpha)
 
 
-def psi(alpha: float, t):
-    """psi(t) = kappa(t) kappa(1) / (kappa(1) - kappa(t)) on [0, 1)."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0) or np.any(t >= 1.0):
-        raise ValueError("psi requires t in [0, 1)")
-    out = kappa(alpha, t) * kappa(alpha, 1.0) / _kappa_gap(alpha, t)
-    return out if out.ndim else float(out)
-
-
 def upsilon(alpha: float, t):
-    """Clock of the transformed problem: upsilon(t) = psi(t) e^{-alpha} / kappa(1).
+    """Clock of the transformed problem:
+    upsilon(t) = kappa(t) e^{-alpha} / (kappa(1) - kappa(t)).
 
     Strictly increasing bijection [0, 1) -> [0, inf) with upsilon(0) = 0.
     """

@@ -5,12 +5,10 @@ import pytest
 
 from oubstop import (
     OUBParams,
-    ProcessState,
     cond_mean,
     cond_std,
     drift,
     reduce_to_canonical,
-    sample_transition,
 )
 
 
@@ -104,45 +102,6 @@ def test_cond_moments_alpha_parity():
         x1 = rng.uniform(-3.0, 3.0)
         assert cond_mean(pp, t1, x1, t2) == cond_mean(pm, t1, x1, t2)
         assert cond_std(pp, t1, t2) == cond_std(pm, t1, t2)
-
-
-def test_sample_transition_pinned_endpoint():
-    p = OUBParams(alpha=1.0, gamma=1.0, z=3.0)
-    rng = np.random.default_rng(0)
-    draws = sample_transition(p, ProcessState(t=0.2, x=-1.0), 1.0, rng,
-                              size=100)
-    assert np.all(draws == 3.0)
-
-
-def test_sample_transition_matches_moments():
-    p = OUBParams(alpha=1.0, gamma=1.0, z=0.0)
-    rng = np.random.default_rng(12345)
-    n = 1_000_000
-    draws = sample_transition(p, ProcessState(t=0.0, x=0.0), 0.5, rng, size=n)
-    m = cond_mean(p, 0.0, 0.0, 0.5)
-    s = cond_std(p, 0.0, 0.5)
-    assert abs(draws.mean() - m) < 4.0 * s / math.sqrt(n)
-    var_se = s * s * math.sqrt(2.0 / (n - 1))
-    assert abs(draws.var(ddof=1) - s * s) < 4.0 * var_se
-
-
-def test_sample_transition_streams_identical():
-    p = OUBParams(alpha=1.0, gamma=1.0, z=0.0)
-    state = ProcessState(t=0.1, x=0.4)
-    a = sample_transition(p, state, 0.7,
-                          np.random.default_rng(99), size=1000)
-    b = sample_transition(p, state, 0.7,
-                          np.random.default_rng(99), size=1000)
-    assert np.array_equal(a, b)
-
-
-def test_sample_transition_precondition():
-    p = OUBParams(alpha=1.0, gamma=1.0, z=0.0)
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        sample_transition(p, ProcessState(t=0.5, x=0.0), 0.5, rng)
-    with pytest.raises(ValueError):
-        sample_transition(p, ProcessState(t=0.5, x=0.0), 1.1, rng)
 
 
 def test_reduce_identity_for_canonical():

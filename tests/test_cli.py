@@ -320,6 +320,16 @@ def test_validation_errors_exit_code(capsys):
     assert run_cli("solve", "--n", "1") == 2
 
 
+def test_verify_rejects_malformed_boundary_file(tmp_path, capsys):
+    # a file without data rows, or with a row that is not one t,beta pair,
+    # is a validation error (exit 2), not a verification failure
+    src = tmp_path / "b.csv"
+    for text in ("t,beta\n", "t,beta\n0.0,0.1,7\n0.5,0.2,7\n1.0,0.0,7\n"):
+        src.write_text(text)
+        assert run_cli("verify", "--boundary", str(src)) == 2
+        assert "data rows" in capsys.readouterr().err
+
+
 def test_seventeen_digit_formatting(tmp_path):
     out = tmp_path / "b.csv"
     assert run_cli("solve", "--n", "40", "--out", str(out)) == 0

@@ -93,18 +93,14 @@ def test_kernel_alpha_parity():
             pm, t1, x1, t2, x2)
 
 
-def test_kernel_equal_times_continuity(std_params):
-    p = std_params
-    assert drift_kernel(p, 0.3, 1.0, 0.3, 0.5) == drift(p, 0.3, 1.0)
-    assert drift_kernel(p, 0.3, 0.2, 0.3, 0.5) == 0.0
-    assert drift_kernel(p, 0.3, 0.5, 0.3, 0.5) == drift(p, 0.3, 0.5)
-
-
 def test_kernel_rejects_terminal_time(std_params):
     with pytest.raises(ValueError):
         drift_kernel(std_params, 0.0, 0.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         drift_kernel(std_params, 0.5, 0.0, 0.4, 0.0)
+    # no continuity extension at t2 == t1: the equations never need it
+    with pytest.raises(ValueError):
+        drift_kernel(std_params, 0.3, 1.0, 0.3, 0.5)
 
 
 def test_kernel_monotone_tail_decay(std_params):

@@ -20,8 +20,6 @@ from oubstop.pricing import _boundary_transformed
 def test_query_validation():
     with pytest.raises(ValueError):
         ValueSurfaceQuery(t=1.0, x=0.0)
-    with pytest.raises(ValueError):
-        ValueSurfaceQuery(t=0.5, x=0.0, quadrature_nodes=1)
 
 
 def test_stopping_region_identity(std_params, std_solution):
@@ -68,16 +66,6 @@ def test_value_monotone_in_x(std_params, std_solution):
         vs = [value(std_params, std_solution, ValueSurfaceQuery(t=t, x=float(x)))
               for x in xs]
         assert np.all(np.diff(vs) >= -1e-9)
-
-
-def test_value_custom_quadrature_nodes(std_params, std_solution):
-    # a finer quadrature mesh shifts the result by the default scheme's own
-    # near-horizon Riemann error, about 6e-3 at N=500
-    q_default = ValueSurfaceQuery(t=0.2, x=-0.5)
-    q_custom = ValueSurfaceQuery(t=0.2, x=-0.5, quadrature_nodes=2000)
-    v1 = value(std_params, std_solution, q_default)
-    v2 = value(std_params, std_solution, q_custom)
-    assert v1 == pytest.approx(v2, abs=1e-2)
 
 
 def test_transformed_mirror_agreement():

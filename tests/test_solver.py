@@ -4,17 +4,19 @@ import numpy as np
 import pytest
 
 from oubstop import (
+    BoundarySolution,
     ConvergenceError,
     OUBParams,
     SolverConfig,
     TimeGrid,
+    ValueSurfaceQuery,
     backward_solve,
     boundary_eval,
     drift_kernel,
     log_partition,
     picard_solve,
     solve_boundary,
-    uniform_partition,
+    value,
 )
 from oubstop.solver import _picard_sweep, _triangle
 
@@ -30,11 +32,6 @@ def test_log_partition_endpoints_and_midpoint():
     # spacing shrinks towards the horizon
     d = np.diff(grid.nodes)
     assert d[-1] < d[0]
-
-
-def test_uniform_partition():
-    grid = uniform_partition(10)
-    assert np.allclose(grid.nodes, np.linspace(0.0, 1.0, 11))
 
 
 def test_time_grid_validation():
@@ -53,8 +50,6 @@ def test_solver_config_validation():
         SolverConfig(eps=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        SolverConfig(mesh_kind="spline")
 
 
 def test_picard_terminal_pinning():
@@ -229,6 +224,14 @@ def test_operator_sweep_matches_row_by_row(alpha, gamma, z):
             for i in range(n - 1)]
     assert swept[-2] == swept[-1] == z
     assert np.max(np.abs(swept[:-2] - rows)) <= 1e-14 * (1.0 + abs(z))
+
+    # value takes the solver's Riemann rows: unclamped on the boundary it
+    # is the row-by-row sweep, bit for bit
+    sol = BoundarySolution(grid=grid, beta=beta, iterations=0,
+                           final_residual=0.0, method="given")
+    priced = [value(p, sol, ValueSurfaceQuery(t=t[i], x=beta[i]), clamp=False)
+              for i in range(n - 1)]
+    assert priced == rows
 
     # the table path is the kernel itself, not an approximation of it
     i, j = np.triu_indices(n - 1)

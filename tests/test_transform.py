@@ -15,7 +15,6 @@ from oubstop import (
     kappa_inv,
     make_context,
     original_to_transformed,
-    psi,
     upsilon,
     upsilon_inv,
     value_to_original,
@@ -47,7 +46,6 @@ def test_kappa_inv_domain_error():
 
 def test_psi_upsilon_at_zero():
     for a in (1.0, -2.0):
-        assert psi(a, 0.0) == 0.0
         assert upsilon(a, 0.0) == 0.0
 
 
@@ -67,8 +65,6 @@ def test_upsilon_strictly_increasing():
 
 
 def test_time_maps_domain_errors():
-    with pytest.raises(ValueError):
-        psi(1.0, 1.0)
     with pytest.raises(ValueError):
         upsilon(1.0, 1.0)
     with pytest.raises(ValueError):
