@@ -46,19 +46,14 @@ from .solver import (
 )
 from .transform import (
     TransformContext,
-    boundary_to_original,
     envelope,
     envelope_deriv,
     gain,
     gain_t,
-    gain_x,
-    kappa,
-    kappa_inv,
     make_context,
     original_to_transformed,
     upsilon,
     upsilon_inv,
-    value_to_original,
 )
 
 __version__ = "0.1.0"

@@ -52,8 +52,11 @@ class OUBParams:
 
     def __post_init__(self) -> None:
         for name in ("alpha", "gamma", "z", "theta", "horizon"):
-            if not math.isfinite(getattr(self, name)):
+            # as float: an array built from an int field takes its dtype
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, value)
         if self.alpha == 0.0:
             raise ValueError("alpha must be nonzero (the Brownian-bridge "
                              "case is a limit, use a small alpha instead)")
@@ -133,16 +136,8 @@ def _require_canonical(params: OUBParams) -> None:
 
 
 def drift(params: OUBParams, t, x):
-    """Bridge drift mu(t, x).
-
-    Accepts scalars or arrays for t and x. For general theta/horizon the
-    canonical reduction is applied internally:
-    mu(t, x) = mu_canonical(t/T, x - theta) / T.
-    """
-    if not params.is_canonical:
-        red = reduce_to_canonical(params)
-        return drift(red.canonical, red.to_canonical_time(t),
-                     red.to_canonical_space(x)) * red.time_scale
+    """Bridge drift mu(t, x) for canonical params; scalars or arrays."""
+    _require_canonical(params)
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
     if np.any(t < 0.0) or np.any(t >= 1.0):

@@ -57,11 +57,8 @@ class RunConfig:
     paths: int
     workers: int
     out: str | None
-    fmt: str
 
     def __post_init__(self) -> None:
-        if self.fmt != "csv":
-            raise ValueError("only --format csv is supported")
         if self.paths < 1:
             raise ValueError("paths must be >= 1")
         if self.workers < 1:
@@ -93,6 +90,8 @@ def read_boundary_csv(path: str):
     if not fields or any(len(f) != 2 for f in fields):
         raise ValueError(f"{path}: expected one or more 't,beta' data rows")
     data = np.array([[float(c) for c in f] for f in fields])
+    if not np.isfinite(data).all():
+        raise ValueError(f"{path}: every t and beta must be finite")
     return data[:, 0], data[:, 1]
 
 
@@ -109,7 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=1)
     common.add_argument("--paths", type=int, default=100_000)
     common.add_argument("--out", type=str, default=None)
-    common.add_argument("--format", dest="fmt", choices=["csv"], default="csv")
 
     parser = argparse.ArgumentParser(
         prog="oubstop",
@@ -140,7 +138,7 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
     workers = int(os.environ.get("OUBSTOP_THREADS", "1"))
     return RunConfig(subcommand=args.subcommand, params=params, solver=solver,
                      seed=args.seed, paths=args.paths, workers=workers,
-                     out=args.out, fmt=args.fmt)
+                     out=args.out)
 
 
 def _boundary_rows(sol: SolvedBoundary):

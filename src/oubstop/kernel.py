@@ -59,7 +59,7 @@ def density(u):
 
 @dataclass(frozen=True)
 class KernelQuery:
-    """Arguments of a kernel evaluation, 0 <= t1 <= t2 < 1."""
+    """Arguments of a kernel evaluation, 0 <= t1 < t2 < 1."""
 
     t1: float
     x1: float
@@ -67,10 +67,8 @@ class KernelQuery:
     x2: float
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.t1 <= self.t2):
-            raise ValueError("kernel query requires 0 <= t1 <= t2")
-        if self.t2 >= 1.0:
-            raise ValueError("kernel query requires t2 < 1")
+        if not (0.0 <= self.t1 < self.t2 < 1.0):
+            raise ValueError("kernel query requires 0 <= t1 < t2 < 1")
 
 
 class KernelTable:

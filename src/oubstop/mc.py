@@ -1,17 +1,16 @@
 """Independent Monte Carlo and quadrature verification of a solved boundary.
 
 Paths of the bridge are simulated with the exact Gaussian transition law on
-the solver mesh (or on a finer monitoring mesh) and stopped in continuous
-time: a path stops the first time it touches the boundary, joined linearly
-between nodes, and pays the boundary there. Between two nodes the path is a
-bridge between known values, so whether and when it crosses is drawn from
-the Brownian-bridge crossing law (Beaglehole, Dybvig & Zhou 1997; Broadie,
-Glasserman & Kou 1997), exact up to O((alpha*dt)**2). A path that never
-crosses before t = 1 pays the pinned value z. This is the rule that
-oubstop.pricing.value prices; what remains between the two is the
-discretisation of the boundary itself next to the horizon (see
-simulate_stopped_payoff), so consistency checks are stated in standard
-errors plus an allowance for it.
+the solver mesh and stopped in continuous time: a path stops the first time
+it touches the boundary, joined linearly between nodes, and pays the
+boundary there. Between two nodes the path is a bridge between known
+values, so whether and when it crosses is drawn from the Brownian-bridge
+crossing law (Beaglehole, Dybvig & Zhou 1997; Broadie, Glasserman & Kou
+1997), exact up to O((alpha*dt)**2). A path that never crosses before t = 1
+pays the pinned value z. This is the rule that oubstop.pricing.value
+prices; what remains between the two is the discretisation of the boundary
+itself next to the horizon (see simulate_stopped_payoff), so consistency
+checks are stated in standard errors plus an allowance for it.
 
 Paths are generated in fixed-size blocks, one splittable rng stream per
 (seed, block) pair, and reduced in block order, so results are bitwise
@@ -34,7 +33,7 @@ import numpy as np
 
 from .bridge import OUBParams, _require_canonical, cond_mean, cond_std, drift
 from .kernel import KernelQuery, density
-from .solver import BoundarySolution, boundary_eval, log_partition
+from .solver import BoundarySolution, boundary_eval
 
 __all__ = [
     "MCConfig",
@@ -49,7 +48,7 @@ __all__ = [
 # Paths are processed in blocks of a fixed row count, so the block layout (and
 # with it every drawn number) is independent of the worker count. A block
 # holds one position per path, never the whole path, so memory does not grow
-# with the monitoring mesh.
+# with the mesh.
 _BLOCK_ROWS = 16384
 
 # A step crosses with probability exp(-2*d0*d1/var). Steps with
@@ -61,15 +60,12 @@ _CROSS_REACH = 18.4
 @dataclass(frozen=True)
 class MCConfig:
     paths: int
-    time_nodes: int | None = None
     seed: int = 0
     workers: int = 1
 
     def __post_init__(self) -> None:
         if self.paths < 1:
             raise ValueError("paths must be >= 1")
-        if self.time_nodes is not None and self.time_nodes < 2:
-            raise ValueError("time_nodes must be >= 2")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -108,9 +104,8 @@ def _estimate(payoffs: np.ndarray) -> MCEstimate:
     return MCEstimate(mean=mean, std_error=se, n=n)
 
 
-def _monitor_nodes(sol: BoundarySolution, t0: float, cfg: MCConfig):
-    grid = sol.grid.nodes if cfg.time_nodes is None \
-        else log_partition(cfg.time_nodes).nodes
+def _monitor_nodes(sol: BoundarySolution, t0: float):
+    grid = sol.grid.nodes
     nodes = np.concatenate(([t0], grid[grid > t0]))
     return nodes, boundary_eval(sol, nodes)
 
@@ -221,7 +216,7 @@ def _block_payoffs(x0: float, coef, var: np.ndarray, levels: np.ndarray,
 
 def _run_payoffs(params: OUBParams, sol: BoundarySolution, t0: float,
                  x0: float, cfg: MCConfig, deltas: tuple[float, ...]):
-    nodes, bounds = _monitor_nodes(sol, t0, cfg)
+    nodes, bounds = _monitor_nodes(sol, t0)
     coef = _step_coefficients(params, nodes)
     var = params.gamma ** 2 * np.diff(nodes)
     levels = bounds[:, None] + np.asarray(deltas, dtype=float)[None, :]
@@ -253,7 +248,7 @@ def simulate_stopped_payoff(params: OUBParams, sol: BoundarySolution,
     zero standard error. On a solved boundary the estimate sits about
     1.4e-3 below value() at N=500: beta is pinned to z one node early, so
     the rule stops too low next to the horizon. That residual shrinks as N
-    grows and does not depend on the monitoring mesh.
+    grows; it is no monitoring bias, since paths stop between nodes too.
     """
     return perturbation_test(params, sol, (), t0, x0, cfg).baseline
 
@@ -299,8 +294,6 @@ def kernel_oracle(params: OUBParams, q: KernelQuery) -> float:
     from scipy.integrate import quad
 
     _require_canonical(params)
-    if q.t2 == q.t1:
-        return drift(params, q.t2, q.x1) * (1.0 if q.x1 >= q.x2 else 0.0)
     m = cond_mean(params, q.t1, q.x1, q.t2)
     v = cond_std(params, q.t1, q.t2)
     hi = m + 12.0 * v

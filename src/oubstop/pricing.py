@@ -103,7 +103,7 @@ def _image_times(sol: BoundarySolution, t_start: float) -> np.ndarray:
 
 
 def transformed_value(ctx: TransformContext, sol: BoundarySolution,
-                      s: float, y: float, clamp: bool = True) -> float:
+                      s: float, y: float) -> float:
     """Mirror evaluation of the value in transformed coordinates.
 
     Integrates over a refined image of the solver mesh under the clock
@@ -113,7 +113,7 @@ def transformed_value(ctx: TransformContext, sol: BoundarySolution,
     """
     if s < 0.0:
         raise ValueError("transformed value requires s >= 0")
-    if clamp and y >= _boundary_transformed(ctx, sol, s):
+    if y >= _boundary_transformed(ctx, sol, s):
         return gain(ctx.c_z, ctx.alpha, s, y)
 
     t_start = upsilon_inv(ctx.alpha, s)

@@ -84,8 +84,8 @@ class TimeGrid:
             raise ValueError("grid needs at least three nodes")
         if nodes[0] != 0.0 or nodes[-1] != 1.0:
             raise ValueError("grid endpoints must be exactly 0 and 1")
-        if np.any(np.diff(nodes) <= 0.0):
-            raise ValueError("grid nodes must be strictly increasing")
+        if not np.all(np.diff(nodes) > 0.0):
+            raise ValueError("grid nodes must be finite, strictly increasing")
         nodes.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
 
@@ -341,16 +341,14 @@ class SolvedBoundary:
         return out if out.ndim else float(out)
 
 
-def solve_boundary(params: OUBParams, cfg: SolverConfig = SolverConfig(),
-                   method: str = "picard") -> SolvedBoundary:
-    """Solve for general parameters by reducing to the canonical problem.
+def solve_boundary(params: OUBParams,
+                   cfg: SolverConfig = SolverConfig()) -> SolvedBoundary:
+    """Solve for general parameters by Picard iteration on the canonical
+    problem.
 
     The reduction is exact (affine), so equivariance in the pulling level
     and the horizon holds node-wise up to the shared canonical solve.
     """
-    if method not in ("picard", "backward"):
-        raise ValueError("method must be 'picard' or 'backward'")
     red = reduce_to_canonical(params)
-    solve = picard_solve if method == "picard" else backward_solve
-    sol = solve(red.canonical, cfg)
-    return SolvedBoundary(reduction=red, canonical=sol)
+    return SolvedBoundary(reduction=red,
+                          canonical=picard_solve(red.canonical, cfg))

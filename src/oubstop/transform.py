@@ -7,8 +7,9 @@ problem for a Brownian motion Y on [0, inf) with gain
     envelope(s) = sqrt((e^alpha + s) * (e^-alpha + s)),
 
 under the strictly increasing clock s = upsilon(t) and the space scaling
-y = x / scale with scale = gamma * sqrt(sinh(alpha)/alpha). Boundaries and
-values move between the two coordinate systems through the maps below.
+y = x / scale with scale = gamma * sqrt(sinh(alpha)/alpha). oubstop works in
+original coordinates; this module serves only verify's lower-bound check and
+the transformed mirror of the value (pricing.transformed_value).
 
 Everywhere the constant `scale` replaces the ratio z / c_z: the two agree
 when z != 0, but the ratio is 0/0 at z = 0 while the map itself is regular.
@@ -20,23 +21,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bridge import OUBParams
+from .bridge import OUBParams, _require_canonical
 
 __all__ = [
     "TransformContext",
     "make_context",
-    "kappa",
-    "kappa_inv",
     "upsilon",
     "upsilon_inv",
     "envelope",
     "envelope_deriv",
     "gain",
     "gain_t",
-    "gain_x",
-    "boundary_to_original",
     "original_to_transformed",
-    "value_to_original",
 ]
 
 
@@ -57,8 +53,7 @@ class TransformContext:
 
 
 def make_context(params: OUBParams) -> TransformContext:
-    if not params.is_canonical:
-        raise ValueError("transform context requires canonical parameters")
+    _require_canonical(params)
     a = params.alpha
     # kappa(1) * e^alpha == sinh(alpha)/alpha, even in alpha and stable for
     # small |alpha|.
@@ -73,14 +68,14 @@ def make_context(params: OUBParams) -> TransformContext:
     )
 
 
-def kappa(alpha: float, t):
+def _kappa(alpha: float, t):
     """kappa(t) = (1 - e^{-2 alpha t}) / (2 alpha)."""
     t = np.asarray(t, dtype=float)
     out = -np.expm1(-2.0 * alpha * t) / (2.0 * alpha)
     return out if out.ndim else float(out)
 
 
-def kappa_inv(alpha: float, s):
+def _kappa_inv(alpha: float, s):
     """Inverse of kappa: -ln(1 - 2 alpha s) / (2 alpha)."""
     s = np.asarray(s, dtype=float)
     arg = -2.0 * alpha * s
@@ -104,7 +99,7 @@ def upsilon(alpha: float, t):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0) or np.any(t >= 1.0):
         raise ValueError("upsilon requires t in [0, 1)")
-    out = kappa(alpha, t) * math.exp(-alpha) / _kappa_gap(alpha, t)
+    out = _kappa(alpha, t) * math.exp(-alpha) / _kappa_gap(alpha, t)
     return out if out.ndim else float(out)
 
 
@@ -113,8 +108,8 @@ def upsilon_inv(alpha: float, s):
     s = np.asarray(s, dtype=float)
     if np.any(s < 0.0):
         raise ValueError("upsilon_inv requires s >= 0")
-    k1 = kappa(alpha, 1.0)
-    return kappa_inv(alpha, s * k1 / (s + math.exp(-alpha)))
+    k1 = _kappa(alpha, 1.0)
+    return _kappa_inv(alpha, s * k1 / (s + math.exp(-alpha)))
 
 
 def envelope(alpha: float, s):
@@ -153,32 +148,9 @@ def gain_t(c: float, alpha: float, s, y):
     return out if out.ndim else float(out)
 
 
-def gain_x(alpha: float, s):
-    """Space partial of the gain: 1 / envelope(s)."""
-    out = np.asarray(1.0 / envelope(alpha, np.asarray(s, dtype=float)))
-    return out if out.ndim else float(out)
-
-
-def boundary_to_original(ctx: TransformContext, s, b_s):
-    """Map a transformed boundary point (s, b(s)) to original coordinates.
-
-    Returns (t, beta(t)) with t = upsilon_inv(s) and
-    beta(t) = scale * G_{c_z}(s, b(s)); regular at z = 0.
-    """
-    t = upsilon_inv(ctx.alpha, s)
-    beta = ctx.scale * gain(ctx.c_z, ctx.alpha, s, b_s)
-    return t, beta
-
-
 def original_to_transformed(ctx: TransformContext, t, beta_t):
     """Map an original boundary point (t, beta(t)), t in [0, 1), to the
     transformed coordinates (s, b(s))."""
     s = upsilon(ctx.alpha, t)
     b_s = beta_t * envelope(ctx.alpha, s) / ctx.scale - ctx.c_z * s
     return s, b_s
-
-
-def value_to_original(ctx: TransformContext, w_value):
-    """Map a transformed value W to the original value: scale * W."""
-    out = np.asarray(w_value, dtype=float) * ctx.scale
-    return out if out.ndim else float(out)

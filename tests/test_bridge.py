@@ -4,11 +4,17 @@ import numpy as np
 import pytest
 
 from oubstop import (
+    MCConfig,
     OUBParams,
+    SolverConfig,
+    ValueSurfaceQuery,
     cond_mean,
     cond_std,
     drift,
     reduce_to_canonical,
+    simulate_stopped_payoff,
+    solve_boundary,
+    value,
 )
 
 
@@ -23,6 +29,24 @@ def test_params_validation():
         OUBParams(alpha=math.inf, gamma=1.0, z=0.0)
     assert OUBParams(alpha=-2.0, gamma=0.5, z=1.0).is_canonical
     assert not OUBParams(alpha=1.0, gamma=1.0, z=0.0, horizon=2.0).is_canonical
+
+
+@pytest.mark.parametrize("z", [0, 1])
+def test_integer_params_match_float_params(z):
+    # int fields are stored as float; an int z used to truncate every Monte
+    # Carlo payoff (mean 0.0 with SE 0.0 at z = 0, where V(0, 0) = 0.366)
+    ints = OUBParams(alpha=1, gamma=1, z=z)
+    floats = OUBParams(alpha=1.0, gamma=1.0, z=float(z))
+    assert all(type(getattr(ints, f)) is float
+               for f in ("alpha", "gamma", "z", "theta", "horizon"))
+    cfg = SolverConfig(n=60)
+    sol_i, sol_f = solve_boundary(ints, cfg), solve_boundary(floats, cfg)
+    assert np.array_equal(sol_i.values, sol_f.values)
+    q = ValueSurfaceQuery(t=0.0, x=float(z))
+    assert value(ints, sol_i.canonical, q) == value(floats, sol_f.canonical, q)
+    mc = MCConfig(paths=5000, seed=0)
+    assert simulate_stopped_payoff(ints, sol_i.canonical, 0.0, float(z), mc) \
+        == simulate_stopped_payoff(floats, sol_f.canonical, 0.0, float(z), mc)
 
 
 def test_drift_zero_at_scaled_pinning():
@@ -57,13 +81,20 @@ def test_drift_domain_error():
 
 
 def test_drift_general_parameters_reduce():
-    # horizon-T drift equals the closed form with 1-t replaced by T-t
+    # drift takes canonical params only; the horizon-T drift, the closed
+    # form with 1-t replaced by T-t, is the canonical drift of the
+    # reduction over T
     p = OUBParams(alpha=0.7, gamma=1.0, z=2.0, theta=0.5, horizon=3.0)
+    with pytest.raises(ValueError):
+        drift(p, 0.5, 0.0)
     t, x = 1.2, 1.1
     rem = p.alpha * (p.horizon - t)
     expected = p.alpha * ((p.z - p.theta) - math.cosh(rem) * (x - p.theta)) \
         / math.sinh(rem)
-    assert drift(p, t, x) == pytest.approx(expected, rel=1e-12)
+    red = reduce_to_canonical(p)
+    got = drift(red.canonical, red.to_canonical_time(t),
+                red.to_canonical_space(x)) * red.time_scale
+    assert got == pytest.approx(expected, rel=1e-12)
 
 
 def test_cond_mean_degenerate_ends():

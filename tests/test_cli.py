@@ -321,13 +321,18 @@ def test_validation_errors_exit_code(capsys):
 
 
 def test_verify_rejects_malformed_boundary_file(tmp_path, capsys):
-    # a file without data rows, or with a row that is not one t,beta pair,
-    # is a validation error (exit 2), not a verification failure
+    # a file without data rows, with a row that is not one t,beta pair, or
+    # with a nan is a validation error (exit 2), not a verification result
     src = tmp_path / "b.csv"
-    for text in ("t,beta\n", "t,beta\n0.0,0.1,7\n0.5,0.2,7\n1.0,0.0,7\n"):
+    for text, message in (
+            ("t,beta\n", "data rows"),
+            ("t,beta\n0.0,0.1,7\n0.5,0.2,7\n1.0,0.0,7\n", "data rows"),
+            ("t,beta\n0.0,0.1\n0.5,nan\n1.0,0.0\n", "finite"),
+            ("t,beta\n0.0,0.1\nnan,0.2\n1.0,0.0\n", "finite")):
         src.write_text(text)
         assert run_cli("verify", "--boundary", str(src)) == 2
-        assert "data rows" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err and message in err
 
 
 def test_seventeen_digit_formatting(tmp_path):

@@ -42,7 +42,7 @@ def test_kernel_query_validation():
         KernelQuery(t1=0.5, x1=0.0, t2=0.4, x2=0.0)
     with pytest.raises(ValueError):
         KernelQuery(t1=0.0, x1=0.0, t2=1.0, x2=0.0)
-    KernelQuery(t1=0.2, x1=0.0, t2=0.2, x2=1.0)
+    KernelQuery(t1=0.2, x1=0.0, t2=0.3, x2=1.0)
 
 
 def test_kernel_indicator_saturation(std_params):

@@ -41,6 +41,8 @@ def test_time_grid_validation():
         TimeGrid(np.array([0.1, 0.5, 1.0]))
     with pytest.raises(ValueError):
         TimeGrid(np.array([0.0, 0.5, 0.5, 1.0]))
+    with pytest.raises(ValueError):
+        TimeGrid(np.array([0.0, math.nan, 1.0]))
 
 
 def test_solver_config_validation():
@@ -197,12 +199,14 @@ def test_solved_boundary_eval_endpoints():
 
 
 def test_solve_boundary_method_choice():
+    # solve_boundary is Picard; backward_solve is called directly
     p = OUBParams(alpha=1.0, gamma=1.0, z=0.0)
     cfg = SolverConfig(n=60)
-    sb = solve_boundary(p, cfg, method="backward")
-    assert sb.canonical.method == "backward"
-    with pytest.raises(ValueError):
-        solve_boundary(p, cfg, method="newton")
+    sb = solve_boundary(p, cfg)
+    assert sb.canonical.method == "picard"
+    assert np.array_equal(sb.canonical.beta, picard_solve(p, cfg).beta)
+    with pytest.raises(TypeError):
+        solve_boundary(p, cfg, method="backward")
 
 
 @pytest.mark.parametrize("alpha", (0.01, 1.0, 5.0))

@@ -5,20 +5,16 @@ import pytest
 
 from oubstop import (
     OUBParams,
-    boundary_to_original,
     envelope,
     envelope_deriv,
     gain,
     gain_t,
-    gain_x,
-    kappa,
-    kappa_inv,
     make_context,
     original_to_transformed,
     upsilon,
     upsilon_inv,
-    value_to_original,
 )
+from oubstop.transform import _kappa as kappa, _kappa_inv as kappa_inv
 
 
 def test_kappa_at_zero():
@@ -112,6 +108,7 @@ def test_gain_t_matches_finite_differences():
 
 
 def test_gain_x_is_exact_y_slope():
+    # the space partial of the gain is 1 / envelope(s), for every y
     rng = np.random.default_rng(31)
     for _ in range(100):
         c = rng.uniform(-3.0, 3.0)
@@ -119,7 +116,7 @@ def test_gain_x_is_exact_y_slope():
         s = rng.uniform(0.0, 10.0)
         y = rng.uniform(-5.0, 5.0)
         slope = (gain(c, a, s, y + 1.0) - gain(c, a, s, y))
-        assert gain_x(a, s) == pytest.approx(slope, abs=1e-8)
+        assert 1.0 / envelope(a, s) == pytest.approx(slope, abs=1e-8)
 
 
 def test_gain_t_sign_threshold():
@@ -168,31 +165,25 @@ def test_boundary_map_round_trip():
             t = rng.uniform(0.0, 0.99)
             beta = rng.uniform(-10.0, 10.0)
             s, b = original_to_transformed(ctx, t, beta)
-            t2, beta2 = boundary_to_original(ctx, s, b)
+            # the inverse map: t = upsilon_inv(s), beta = scale * G_{c_z}(s, b)
+            t2 = upsilon_inv(ctx.alpha, s)
+            beta2 = ctx.scale * gain(ctx.c_z, ctx.alpha, s, b)
             assert t2 == pytest.approx(t, abs=1e-10)
             assert beta2 == pytest.approx(beta, abs=1e-10)
 
 
 def test_boundary_map_at_time_zero():
+    # at t = 0 the clock reads 0 and the map is a plain division by the scale
     ctx = make_context(OUBParams(alpha=1.0, gamma=2.0, z=3.0))
-    t, beta = boundary_to_original(ctx, 0.0, 1.25)
-    assert t == 0.0
-    assert beta == pytest.approx(ctx.scale * 1.25, rel=1e-15)
-    # forward direction at t = 0: plain division by the scale
-    s, b = original_to_transformed(ctx, 0.0, beta)
+    s, b = original_to_transformed(ctx, 0.0, 1.25)
     assert s == 0.0
-    assert b == pytest.approx(beta / ctx.scale, rel=1e-15)
+    assert b == pytest.approx(1.25 / ctx.scale, rel=1e-15)
 
 
 def test_boundary_map_regular_at_zero_pinning():
+    # z / c_z is 0/0 at z = 0; the map divides by scale and stays regular
     ctx = make_context(OUBParams(alpha=1.0, gamma=1.0, z=0.0))
-    t, beta = boundary_to_original(ctx, 2.0, 0.7)
-    assert math.isfinite(beta)
-    assert beta == pytest.approx(ctx.scale * 0.7 / envelope(1.0, 2.0),
-                                 rel=1e-12)
+    s, b = original_to_transformed(ctx, 0.5, 0.7)
+    assert math.isfinite(b)
+    assert b == pytest.approx(0.7 * envelope(1.0, s) / ctx.scale, rel=1e-12)
 
-
-def test_value_to_original_linear():
-    ctx = make_context(OUBParams(alpha=1.0, gamma=1.0, z=0.0))
-    assert value_to_original(ctx, 0.0) == 0.0
-    assert value_to_original(ctx, 2.0) == pytest.approx(2.0 * ctx.scale)
