@@ -53,16 +53,8 @@ class RunConfig:
     subcommand: str
     params: OUBParams
     solver: SolverConfig
-    seed: int
-    paths: int
-    workers: int
+    mc: MCConfig
     out: str | None
-
-    def __post_init__(self) -> None:
-        if self.paths < 1:
-            raise ValueError("paths must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 def _fmt(x: float) -> str:
@@ -79,6 +71,13 @@ def _emit(lines, out: str | None) -> None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text, encoding="utf-8")
+
+
+def _write_columns(header, columns, out: str | None) -> None:
+    """Write equal-length columns of floats as a CSV under the column
+    names in header."""
+    _emit([",".join(header)]
+          + [",".join(_fmt(v) for v in row) for row in zip(*columns)], out)
 
 
 def read_boundary_csv(path: str):
@@ -135,16 +134,10 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
     params = OUBParams(alpha=args.alpha, gamma=args.gamma, z=args.z,
                        theta=args.theta, horizon=args.horizon)
     solver = SolverConfig(n=args.n, eps=args.eps, max_iter=args.max_iter)
-    workers = int(os.environ.get("OUBSTOP_THREADS", "1"))
+    mc = MCConfig(paths=args.paths, seed=args.seed,
+                  workers=int(os.environ.get("OUBSTOP_THREADS", "1")))
     return RunConfig(subcommand=args.subcommand, params=params, solver=solver,
-                     seed=args.seed, paths=args.paths, workers=workers,
-                     out=args.out)
-
-
-def _boundary_rows(sol: SolvedBoundary):
-    yield "t,beta"
-    for t, b in zip(sol.nodes, sol.values):
-        yield f"{_fmt(t)},{_fmt(b)}"
+                     mc=mc, out=args.out)
 
 
 def cmd_solve(cfg: RunConfig) -> int:
@@ -153,19 +146,14 @@ def cmd_solve(cfg: RunConfig) -> int:
     except ConvergenceError as err:
         print(f"error: {err}", file=sys.stderr)
         if cfg.out is not None:
-            red = reduce_to_canonical(cfg.params)
-            grid = cfg.solver.build_grid()
-            partial = SolvedBoundary(
-                reduction=red,
-                canonical=BoundarySolution(
-                    grid=grid, beta=err.beta_last, iterations=err.iterations,
-                    final_residual=err.residual, method="picard"),
-            )
-            _emit(_boundary_rows(partial), cfg.out + ".partial")
+            partial = SolvedBoundary(reduction=reduce_to_canonical(cfg.params),
+                                     canonical=err.solution)
+            _write_columns(("t", "beta"), (partial.nodes, partial.values),
+                           cfg.out + ".partial")
             print(f"partial result written to {cfg.out}.partial",
                   file=sys.stderr)
         return 2
-    _emit(_boundary_rows(sol), cfg.out)
+    _write_columns(("t", "beta"), (sol.nodes, sol.values), cfg.out)
     print(f"iterations={sol.canonical.iterations} "
           f"residual={sol.canonical.final_residual:.6e}", file=sys.stderr)
     return 0
@@ -200,10 +188,9 @@ def cmd_value(cfg: RunConfig, args: argparse.Namespace) -> int:
     else:
         raise ValueError("value needs --t and --x, or --grid")
 
-    lines = ["t,x,V"]
-    for t, x in pts:
-        lines.append(f"{_fmt(t)},{_fmt(x)},{_fmt(v_original(t, x))}")
-    _emit(lines, cfg.out)
+    ts, xs = zip(*pts)
+    _write_columns(("t", "x", "V"),
+                   (ts, xs, [v_original(t, x) for t, x in pts]), cfg.out)
     return 0
 
 
@@ -216,7 +203,7 @@ def _verify_checks(cfg: RunConfig, params: OUBParams,
     yield ("terminal_pinning", abs(float(sol.beta[-1]) - z), 0.0,
            float(sol.beta[-1]) == z)
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.mc.seed)
     worst = 0.0
     for _ in range(20):
         t1 = rng.uniform(0.0, 0.95)
@@ -228,12 +215,11 @@ def _verify_checks(cfg: RunConfig, params: OUBParams,
                                - kernel_oracle(params, q)))
     yield ("kernel_vs_quadrature", worst, 1e-8, worst < 1e-8)
 
-    mccfg = MCConfig(paths=cfg.paths, seed=cfg.seed, workers=cfg.workers)
     v0 = value(params, sol, ValueSurfaceQuery(t=0.0, x=z))
     # one simulation: the unshifted rule is the baseline of the paired
     # perturbation test (common random numbers)
     report = perturbation_test(params, sol, (0.25 * gamma, -0.25 * gamma),
-                               0.0, z, mccfg)
+                               0.0, z, cfg.mc)
     est = report.baseline
     # MC stops in continuous time, but the discretised boundary next to the
     # horizon leaves it below v0 (about 1.4e-3 at N=500, shrinking with N);
@@ -267,6 +253,10 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     if args.boundary is not None:
         t, b = read_boundary_csv(args.boundary)
         nodes = np.asarray(red.to_canonical_time(t), dtype=float)
+        if abs(nodes[-1] - 1.0) > 1e-12:
+            raise ValueError(f"{args.boundary}: last time {float(t[-1])!r} "
+                             f"is not the horizon {cfg.params.horizon!r}")
+        # absorb the rounding of t / horizon, which TimeGrid would reject
         nodes[-1] = 1.0
         sol = BoundarySolution(
             grid=TimeGrid(nodes),
@@ -310,31 +300,25 @@ def cmd_figures(cfg: RunConfig) -> int:
                   for a in _FIG1_ALPHAS]
         t = curves[0].nodes
         bb = z + _BB_SLOPE * np.sqrt(1.0 - t)
-        lines = ["t," + ",".join(f"alpha_{a:g}" for a in _FIG1_ALPHAS)
-                 + ",bb_ref"]
-        for i, ti in enumerate(t):
-            vals = [c.values[i] for c in curves] + [bb[i]]
-            lines.append(_fmt(ti) + "," + ",".join(_fmt(v) for v in vals))
-        _emit(lines, str(outdir / f"fig1_z{ztag(z)}.csv"))
+        _write_columns(
+            ["t"] + [f"alpha_{a:g}" for a in _FIG1_ALPHAS] + ["bb_ref"],
+            [t] + [c.values for c in curves] + [bb],
+            str(outdir / f"fig1_z{ztag(z)}.csv"))
 
     for z in _FIG_PINS:
         curves = [solve_beta(1.0, g, z, cfg.solver.n)
                   for g in _FIG2_GAMMAS]
-        t = curves[0].nodes
-        lines = ["t," + ",".join(f"gamma_{g:g}" for g in _FIG2_GAMMAS)]
-        for i, ti in enumerate(t):
-            lines.append(_fmt(ti) + ","
-                         + ",".join(_fmt(c.values[i]) for c in curves))
-        _emit(lines, str(outdir / f"fig2_z{ztag(z)}.csv"))
+        _write_columns(["t"] + [f"gamma_{g:g}" for g in _FIG2_GAMMAS],
+                       [curves[0].nodes] + [c.values for c in curves],
+                       str(outdir / f"fig2_z{ztag(z)}.csv"))
 
     for n in _FIG3_SIZES:
         curves = [solve_beta(1.0, 1.0, z, n) for z in _FIG_PINS]
-        t = curves[0].nodes
-        lines = ["t," + ",".join(f"z_{ztag(z)}" for z in _FIG_PINS)]
-        for i, ti in enumerate(t):
-            vals = [c.values[i] - z for c, z in zip(curves, _FIG_PINS)]
-            lines.append(_fmt(ti) + "," + ",".join(_fmt(v) for v in vals))
-        _emit(lines, str(outdir / f"fig3_n{n}.csv"))
+        _write_columns(
+            ["t"] + [f"z_{ztag(z)}" for z in _FIG_PINS],
+            [curves[0].nodes]
+            + [c.values - z for c, z in zip(curves, _FIG_PINS)],
+            str(outdir / f"fig3_n{n}.csv"))
 
     print(f"figure datasets written to {outdir}", file=sys.stderr)
     return 0

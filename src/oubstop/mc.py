@@ -64,10 +64,10 @@ class MCConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.paths < 1:
-            raise ValueError("paths must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        if not isinstance(self.paths, (int, np.integer)) or self.paths < 1:
+            raise ValueError("paths must be an integer >= 1")
+        if not isinstance(self.workers, (int, np.integer)) or self.workers < 1:
+            raise ValueError("workers must be an integer >= 1")
 
 
 @dataclass(frozen=True)

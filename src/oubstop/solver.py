@@ -13,7 +13,7 @@ approaches 1. Two solution schemes are provided:
   discretised boundary is updated at once until the sup-norm change falls
   below the tolerance. This is the production path.
 * Backward induction: node-by-node scalar solves from the known terminal
-  value beta(1) = z, kept as a cross-check.
+  value beta(1) = z, one bisection per node, kept as a cross-check.
 
 With the dropped addend both schemes force beta(t_{N-1}) = z; the genuine
 unknowns are nodes 0..N-2.
@@ -51,16 +51,14 @@ __all__ = [
 class ConvergenceError(RuntimeError):
     """Picard iteration failed to meet the tolerance within max_iter.
 
-    Carries the last iterate and its residual so callers can inspect or
-    persist the partial result.
+    Carries the last iterate as .solution, a BoundarySolution whose
+    iterations and final_residual describe the failed run, so callers can
+    inspect or persist the partial result.
     """
 
-    def __init__(self, message: str, beta_last: np.ndarray, residual: float,
-                 iterations: int):
+    def __init__(self, message: str, solution: BoundarySolution):
         super().__init__(message)
-        self.beta_last = beta_last
-        self.residual = residual
-        self.iterations = iterations
+        self.solution = solution
 
 
 class ScalarSolveError(RuntimeError):
@@ -225,27 +223,30 @@ def picard_solve(params: OUBParams, cfg: SolverConfig = SolverConfig()) -> Bound
     grid = cfg.build_grid()
     tri = _triangle(params, grid)
     beta = np.full(grid.nodes.size, params.z, dtype=float)
-    residual = math.inf
     for k in range(1, cfg.max_iter + 1):
         new = _picard_sweep(params, tri, beta)
         residual = float(np.max(np.abs(new - beta)))
         beta = new
         if residual < cfg.eps:
-            return BoundarySolution(grid=grid, beta=beta, iterations=k,
-                                    final_residual=residual, method="picard")
-    raise ConvergenceError(
-        f"Picard iteration did not reach eps={cfg.eps:g} within "
-        f"{cfg.max_iter} sweeps (last residual {residual:.3e})",
-        beta_last=beta, residual=residual, iterations=cfg.max_iter)
+            break
+    sol = BoundarySolution(grid=grid, beta=beta, iterations=k,
+                           final_residual=residual, method="picard")
+    if not residual < cfg.eps:  # also when the sweeps went non-finite
+        raise ConvergenceError(
+            f"Picard iteration did not reach eps={cfg.eps:g} within "
+            f"{cfg.max_iter} sweeps (last residual {residual:.3e})", sol)
+    return sol
 
 
 def backward_solve(params: OUBParams, cfg: SolverConfig = SolverConfig()) -> BoundarySolution:
     """Solve node-by-node from the pinned terminal value.
 
     At node i the scalar equation b = z - sum_j w_j K(t_i, b, t_j, beta_j),
-    over node i's Riemann row, is solved with the later nodes fixed: plain
-    fixed-point steps first, damped by 0.5 after 20 steps, with a bisection
-    fallback on the bracket [z - 10*gamma, z + 10*gamma].
+    over node i's Riemann row, is solved with the later nodes fixed by
+    bisection on [z - 10*gamma, z + 10*gamma] to |b - g(b)| < 1e-9*max(1,
+    gamma), raising ScalarSolveError if that bracket holds no sign change.
+    Fixed-point steps contract too slowly: near the root g's slope is close
+    to 1. iterations counts the bisection midpoints over all nodes.
     """
     _require_canonical(params)
     grid = cfg.build_grid()
@@ -266,43 +267,31 @@ def backward_solve(params: OUBParams, cfg: SolverConfig = SolverConfig()) -> Bou
             k = drift_kernel(params, None, b, None, x2, table=table)
             return z - float(np.dot(k, w))
 
-        b = beta[i + 1]
-        solved = False
-        for it in range(80):
-            gb = g(b)
-            total_iters += 1
-            if abs(gb - b) < tol:
-                b = gb
-                solved = True
-                break
-            b = gb if it < 20 else b + 0.5 * (gb - b)
-        if not solved:
-            lo = z - 10.0 * params.gamma
-            hi = z + 10.0 * params.gamma
-            h_lo = lo - g(lo)
-            h_hi = hi - g(hi)
-            if h_lo == 0.0:
-                b = lo
-            elif h_hi == 0.0:
-                b = hi
-            elif h_lo * h_hi > 0.0:
-                raise ScalarSolveError(
-                    f"no sign change on [z-10*gamma, z+10*gamma] at node {i}",
-                    node=i)
-            else:
-                for _ in range(200):
-                    mid = 0.5 * (lo + hi)
-                    h_mid = mid - g(mid)
-                    total_iters += 1
-                    if abs(h_mid) < tol or (hi - lo) < 1e-15 * (1.0 + abs(mid)):
-                        break
-                    if (h_mid > 0.0) == (h_hi > 0.0):
-                        hi, h_hi = mid, h_mid
-                    else:
-                        lo, h_lo = mid, h_mid
+        lo = z - 10.0 * params.gamma
+        hi = z + 10.0 * params.gamma
+        h_lo = lo - g(lo)
+        h_hi = hi - g(hi)
+        if h_lo == 0.0:
+            b, h = lo, 0.0
+        elif h_hi == 0.0:
+            b, h = hi, 0.0
+        elif h_lo * h_hi > 0.0:
+            raise ScalarSolveError(
+                f"no sign change on [z-10*gamma, z+10*gamma] at node {i}",
+                node=i)
+        else:
+            for _ in range(200):
                 b = 0.5 * (lo + hi)
+                h = b - g(b)
+                total_iters += 1
+                if abs(h) < tol or (hi - lo) < 1e-15 * (1.0 + abs(b)):
+                    break
+                if (h > 0.0) == (h_hi > 0.0):
+                    hi, h_hi = b, h
+                else:
+                    lo = b
         beta[i] = b
-        worst = max(worst, abs(b - g(b)))
+        worst = max(worst, abs(h))
 
     return BoundarySolution(grid=grid, beta=beta, iterations=total_iters,
                             final_residual=worst, method="backward")

@@ -45,8 +45,6 @@ class TransformContext:
     """
 
     alpha: float
-    gamma: float
-    z: float
     c_z: float
     a: float
     scale: float
@@ -60,8 +58,6 @@ def make_context(params: OUBParams) -> TransformContext:
     scale = params.gamma * math.sqrt(math.sinh(a) / a)
     return TransformContext(
         alpha=a,
-        gamma=params.gamma,
-        z=params.z,
         c_z=params.z / scale,
         a=math.exp(a) + math.exp(-a),
         scale=scale,
@@ -76,12 +72,10 @@ def _kappa(alpha: float, t):
 
 
 def _kappa_inv(alpha: float, s):
-    """Inverse of kappa: -ln(1 - 2 alpha s) / (2 alpha)."""
+    """Inverse of kappa: -ln(1 - 2 alpha s) / (2 alpha), for s < kappa(1)
+    (always so from upsilon_inv, its only caller)."""
     s = np.asarray(s, dtype=float)
-    arg = -2.0 * alpha * s
-    if np.any(arg <= -1.0):
-        raise ValueError("kappa_inv domain error: 1 - 2*alpha*s must be > 0")
-    out = -np.log1p(arg) / (2.0 * alpha)
+    out = -np.log1p(-2.0 * alpha * s) / (2.0 * alpha)
     return out if out.ndim else float(out)
 
 

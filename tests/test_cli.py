@@ -3,13 +3,16 @@ import pytest
 
 from oubstop import (
     BoundarySolution,
+    ConvergenceError,
     MCConfig,
     OUBParams,
+    SolvedBoundary,
     SolverConfig,
     TimeGrid,
     ValueSurfaceQuery,
     boundary_eval,
     picard_solve,
+    reduce_to_canonical,
     simulate_stopped_payoff,
     solve_boundary,
     value,
@@ -85,15 +88,24 @@ def test_verify_accepts_general_horizon_boundary(tmp_path):
 
 def test_solve_nonconvergence_writes_partial(tmp_path, capsys):
     out = tmp_path / "b.csv"
-    code = run_cli("solve", "--n", "60", "--max-iter", "1",
-                   "--out", str(out))
+    code = run_cli("solve", "--n", "60", "--max-iter", "1", "--theta", "1",
+                   "--horizon", "3", "--z", "2", "--out", str(out))
     assert code == 2
     assert not out.exists()
     partial = tmp_path / "b.csv.partial"
     assert partial.exists()
+    assert "error:" in capsys.readouterr().err
+    # the library's last iterate, in original coordinates; 17 digits
+    # round-trip exactly
+    params = OUBParams(alpha=1.0, gamma=1.0, z=2.0, theta=1.0, horizon=3.0)
+    with pytest.raises(ConvergenceError) as err:
+        solve_boundary(params, SolverConfig(n=60, max_iter=1))
+    expected = SolvedBoundary(reduction=reduce_to_canonical(params),
+                              canonical=err.value.solution)
     t, beta = read_boundary_csv(str(partial))
     assert t.size == 61
-    assert "error:" in capsys.readouterr().err
+    assert np.array_equal(t, expected.nodes)
+    assert np.array_equal(beta, expected.values)
 
 
 def test_boundary_round_trip_is_exact(tmp_path):
@@ -321,14 +333,16 @@ def test_validation_errors_exit_code(capsys):
 
 
 def test_verify_rejects_malformed_boundary_file(tmp_path, capsys):
-    # a file without data rows, with a row that is not one t,beta pair, or
-    # with a nan is a validation error (exit 2), not a verification result
+    # a file without data rows, with a row that is not one t,beta pair,
+    # with a nan, or ending before the horizon is a validation error
+    # (exit 2), not a verification result
     src = tmp_path / "b.csv"
     for text, message in (
             ("t,beta\n", "data rows"),
             ("t,beta\n0.0,0.1,7\n0.5,0.2,7\n1.0,0.0,7\n", "data rows"),
             ("t,beta\n0.0,0.1\n0.5,nan\n1.0,0.0\n", "finite"),
-            ("t,beta\n0.0,0.1\nnan,0.2\n1.0,0.0\n", "finite")):
+            ("t,beta\n0.0,0.1\nnan,0.2\n1.0,0.0\n", "finite"),
+            ("t,beta\n0.0,0.1\n0.25,0.2\n0.5,0.0\n", "horizon")):
         src.write_text(text)
         assert run_cli("verify", "--boundary", str(src)) == 2
         err = capsys.readouterr().err

@@ -32,6 +32,12 @@ def test_config_validation():
         MCConfig(paths=0)
     with pytest.raises(ValueError):
         MCConfig(paths=10, workers=0)
+    # a float count would fail deep inside the simulation, or run silently
+    with pytest.raises(ValueError):
+        MCConfig(paths=2000.0)
+    with pytest.raises(ValueError):
+        MCConfig(paths=10, workers=2.5)
+    assert MCConfig(paths=np.int64(10), workers=np.int32(2)).paths == 10
 
 
 def test_determinism_same_seed(std_params, std_solution):

@@ -96,9 +96,9 @@ def test_picard_non_convergence_error():
     with pytest.raises(ConvergenceError) as err:
         picard_solve(OUBParams(alpha=1.0, gamma=1.0, z=0.0),
                      SolverConfig(n=50, max_iter=1))
-    assert err.value.iterations == 1
-    assert err.value.residual > 1e-4
-    assert err.value.beta_last.shape == (51,)
+    assert err.value.solution.iterations == 1
+    assert err.value.solution.final_residual > 1e-4
+    assert err.value.solution.beta.shape == (51,)
 
 
 def test_backward_matches_picard():
@@ -110,6 +110,17 @@ def test_backward_matches_picard():
     assert sb.beta[-1] == 0.0
     assert sb.beta[-2] == 0.0
     assert np.max(np.abs(sp.beta - sb.beta)) < 5e-3
+
+
+@pytest.mark.parametrize("alpha,gamma,z", [
+    (1.0, 1.0, 0.0), (5.0, 1.0, -5.0), (1.0, 2.0, 5.0)])
+def test_backward_bisection_meets_tolerance(alpha, gamma, z):
+    # every node is one bisection that stops at |b - g(b)| < tol, within
+    # 40 kernel-row evaluations
+    cfg = SolverConfig(n=120)
+    sol = backward_solve(OUBParams(alpha=alpha, gamma=gamma, z=z), cfg)
+    assert sol.final_residual <= 1e-9 * max(1.0, gamma)
+    assert sol.iterations <= 40 * (cfg.n - 1)
 
 
 def test_mesh_refinement_converges():

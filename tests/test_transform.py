@@ -33,13 +33,6 @@ def test_kappa_round_trip():
             assert kappa_inv(a, kappa(a, t)) == pytest.approx(t, abs=1e-12)
 
 
-def test_kappa_inv_domain_error():
-    with pytest.raises(ValueError):
-        kappa_inv(1.0, 0.5)   # 1 - 2*alpha*s == 0
-    with pytest.raises(ValueError):
-        kappa_inv(1.0, 0.7)
-
-
 def test_psi_upsilon_at_zero():
     for a in (1.0, -2.0):
         assert upsilon(a, 0.0) == 0.0
