@@ -1,10 +1,11 @@
 """Optimal stopping of an Ornstein-Uhlenbeck bridge.
 
 Computes the optimal stopping boundary of a bridge pinned at a terminal
-value (gain = the process itself) by solving the associated Volterra
-free-boundary integral equation with Picard iteration, evaluates the value
-function from the solved boundary, and verifies both against independent
-Monte Carlo and quadrature oracles.
+value (gain = the process itself) by solving the discretised Volterra
+free-boundary integral equation exactly, node by node (by Picard iteration
+where no root lies near a node), evaluates the value function from the
+solved boundary, and verifies both against independent Monte Carlo and
+quadrature oracles.
 """
 from .bridge import (
     CanonicalReduction,
@@ -34,7 +35,6 @@ from .pricing import ValueSurfaceQuery, transformed_value, value
 from .solver import (
     BoundarySolution,
     ConvergenceError,
-    ScalarSolveError,
     SolvedBoundary,
     SolverConfig,
     TimeGrid,

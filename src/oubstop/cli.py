@@ -20,9 +20,9 @@ import numpy as np
 from .bridge import OUBParams, reduce_to_canonical
 from .kernel import KernelQuery, drift_kernel
 from .mc import MCConfig, kernel_oracle, perturbation_test
-# Not called here since verify takes its estimate from perturbation_test's
-# baseline; the traced benchmark runs still wrap this name in this module
-# (perfbench/workloads.py CALL_SITES), so it stays importable from it.
+# Not called here (verify takes perturbation_test's baseline; picard_solve is
+# solve_boundary's fallback), but perfbench/workloads.py CALL_SITES wraps
+# both names in this module, so they stay importable from it.
 from .mc import simulate_stopped_payoff  # noqa: F401
 from .pricing import ValueSurfaceQuery, value
 from .solver import (
@@ -31,9 +31,9 @@ from .solver import (
     SolvedBoundary,
     SolverConfig,
     TimeGrid,
-    picard_solve,
     solve_boundary,
 )
+from .solver import picard_solve  # noqa: F401
 from .transform import envelope, envelope_deriv, make_context, original_to_transformed
 
 __all__ = ["main", "build_parser", "RunConfig"]
@@ -102,8 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--theta", type=float, default=0.0)
     common.add_argument("--horizon", type=float, default=1.0)
     common.add_argument("--n", type=int, default=500, help="mesh size N")
-    common.add_argument("--eps", type=float, default=1e-4)
-    common.add_argument("--max-iter", type=int, default=500)
+    common.add_argument("--max-iter", type=int, default=500,
+                        help="root-finder steps per node (Picard: sweeps)")
     common.add_argument("--seed", type=int, default=1)
     common.add_argument("--paths", type=int, default=100_000)
     common.add_argument("--out", type=str, default=None)
@@ -133,9 +133,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_config(args: argparse.Namespace) -> RunConfig:
     params = OUBParams(alpha=args.alpha, gamma=args.gamma, z=args.z,
                        theta=args.theta, horizon=args.horizon)
-    solver = SolverConfig(n=args.n, eps=args.eps, max_iter=args.max_iter)
-    mc = MCConfig(paths=args.paths, seed=args.seed,
-                  workers=int(os.environ.get("OUBSTOP_THREADS", "1")))
+    solver = SolverConfig(n=args.n, max_iter=args.max_iter)
+    threads = os.environ.get("OUBSTOP_THREADS", "1").strip()
+    if not threads.isdecimal() or int(threads) < 1:
+        raise ValueError(f"OUBSTOP_THREADS must be an integer >= 1, got {threads!r}")
+    mc = MCConfig(paths=args.paths, seed=args.seed, workers=int(threads))
     return RunConfig(subcommand=args.subcommand, params=params, solver=solver,
                      mc=mc, out=args.out)
 
@@ -154,7 +156,8 @@ def cmd_solve(cfg: RunConfig) -> int:
                   file=sys.stderr)
         return 2
     _write_columns(("t", "beta"), (sol.nodes, sol.values), cfg.out)
-    print(f"iterations={sol.canonical.iterations} "
+    print(f"method={sol.canonical.method} iterations="
+          f"{sol.canonical.iterations} "
           f"residual={sol.canonical.final_residual:.6e}", file=sys.stderr)
     return 0
 
@@ -172,8 +175,8 @@ def _parse_grid(arg: str):
 
 
 def cmd_value(cfg: RunConfig, args: argparse.Namespace) -> int:
-    red = reduce_to_canonical(cfg.params)
-    sol = picard_solve(red.canonical, cfg.solver)
+    solved = solve_boundary(cfg.params, cfg.solver)
+    red, sol = solved.reduction, solved.canonical
 
     def v_original(t: float, x: float) -> float:
         q = ValueSurfaceQuery(t=float(red.to_canonical_time(t)),
@@ -263,7 +266,7 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
             beta=np.asarray(red.to_canonical_space(b), dtype=float),
             iterations=0, final_residual=math.nan, method="file")
     else:
-        sol = picard_solve(red.canonical, cfg.solver)
+        sol = solve_boundary(cfg.params, cfg.solver).canonical
 
     lines = ["check,statistic,threshold,result"]
     failed = False
@@ -285,11 +288,10 @@ def cmd_figures(cfg: RunConfig) -> int:
         # Each distinct canonical problem is solved once: +-alpha reduce to
         # the same one, and the figures share their alpha = gamma = 1 curves
         red = reduce_to_canonical(OUBParams(alpha=alpha, gamma=gamma, z=z))
-        solver = SolverConfig(n=n, eps=cfg.solver.eps,
-                              max_iter=cfg.solver.max_iter)
+        solver = SolverConfig(n=n, max_iter=cfg.solver.max_iter)
         key = (red.canonical, solver)
         if key not in solved:
-            solved[key] = picard_solve(red.canonical, solver)
+            solved[key] = solve_boundary(red.canonical, solver).canonical
         return SolvedBoundary(reduction=red, canonical=solved[key])
 
     def ztag(z: float) -> str:

@@ -9,11 +9,12 @@ The addend with right endpoint t_N = 1 is dropped: the kernel is undefined
 there and the omitted piece is an integrable tail that vanishes as t_{N-1}
 approaches 1. Two solution schemes are provided:
 
-* Picard iteration: starting from the constant boundary z, the whole
-  discretised boundary is updated at once until the sup-norm change falls
-  below the tolerance. This is the production path.
-* Backward induction: node-by-node scalar solves from the known terminal
-  value beta(1) = z, one bisection per node, kept as a cross-check.
+* Backward induction, the production path: the system is triangular, so
+  one scalar root per node, from beta(1) = z back to t_0, solves it exactly.
+* Picard iteration, the paper's scheme: the whole boundary, from the
+  constant z, is updated at once until the sup-norm change falls below the
+  tolerance. The cross-check, and the production path where backward
+  induction finds no root near a node (see backward_solve).
 
 With the dropped addend both schemes force beta(t_{N-1}) = z; the genuine
 unknowns are nodes 0..N-2.
@@ -39,7 +40,6 @@ __all__ = [
     "BoundarySolution",
     "SolvedBoundary",
     "ConvergenceError",
-    "ScalarSolveError",
     "log_partition",
     "picard_solve",
     "backward_solve",
@@ -49,25 +49,15 @@ __all__ = [
 
 
 class ConvergenceError(RuntimeError):
-    """Picard iteration failed to meet the tolerance within max_iter.
-
-    Carries the last iterate as .solution, a BoundarySolution whose
-    iterations and final_residual describe the failed run, so callers can
-    inspect or persist the partial result.
+    """Picard iteration missed eps within max_iter sweeps, or backward
+    induction found no root at a node. .solution is the partial
+    BoundarySolution (iterations and final_residual describe the failed
+    run): Picard's last iterate, or the solved nodes, the others at z.
     """
 
     def __init__(self, message: str, solution: BoundarySolution):
         super().__init__(message)
         self.solution = solution
-
-
-class ScalarSolveError(RuntimeError):
-    """A backward-induction scalar solve found no bracket; carries the
-    failing node index."""
-
-    def __init__(self, message: str, node: int):
-        super().__init__(message)
-        self.node = node
 
 
 @dataclass(frozen=True)
@@ -110,7 +100,8 @@ def log_partition(n: int) -> TimeGrid:
 @dataclass(frozen=True)
 class SolverConfig:
     """Solver knobs; defaults follow the reference setup (N = 500,
-    tolerance 1e-4, logarithmic mesh)."""
+    logarithmic mesh). eps (1e-4) is picard_solve's tolerance only;
+    max_iter caps Picard's sweeps and backward_solve's steps per node."""
 
     n: int = 500
     eps: float = 1e-4
@@ -189,13 +180,8 @@ def _triangle(params: OUBParams, grid: TimeGrid):
     # pair.
     t = grid.nodes
     i_idx, j_idx, w = _riemann_rows(t, t[:-2])
-    return {
-        "i": i_idx,
-        "j": j_idx,
-        "w": w,
-        "table": KernelTable(params, t[i_idx], t[j_idx]),
-        "n": grid.n,
-    }
+    return {"i": i_idx, "j": j_idx, "w": w, "n": grid.n,
+            "table": KernelTable(params, t[i_idx], t[j_idx])}
 
 
 def _picard_sweep(params: OUBParams, tri, beta: np.ndarray) -> np.ndarray:
@@ -238,62 +224,90 @@ def picard_solve(params: OUBParams, cfg: SolverConfig = SolverConfig()) -> Bound
     return sol
 
 
-def backward_solve(params: OUBParams, cfg: SolverConfig = SolverConfig()) -> BoundarySolution:
-    """Solve node-by-node from the pinned terminal value.
+def _node_root(h, b0: float, step: float, width: float, tol: float,
+               max_steps: int):
+    """The first sign change of h, which rises through it, from b0 out.
 
-    At node i the scalar equation b = z - sum_j w_j K(t_i, b, t_j, beta_j),
-    over node i's Riemann row, is solved with the later nodes fixed by
-    bisection on [z - 10*gamma, z + 10*gamma] to |b - g(b)| < 1e-9*max(1,
-    gamma), raising ScalarSolveError if that bracket holds no sign change.
-    Fixed-point steps contract too slowly: near the root g's slope is close
-    to 1. iterations counts the bisection midpoints over all nodes.
+    Until h changes sign each step heads down where h > 0 and up otherwise,
+    never past b0 +- width: by the secant through the last two points, or
+    by twice the last step (first: step) where that is shorter or the
+    secant turns back. Illinois steps (regula falsi halving h at an end
+    kept twice running) then close in until |h| < tol or the bracket is at
+    rounding width. Returns (b, h(b), steps, error), error None on success.
+    """
+    a = fa = b = fb = math.nan  # the last two points; h(a)h(b) < 0 once
+    x, bracketed = b0, False
+    for steps in range(1, max_steps + 1):
+        fx = h(x)
+        if not math.isfinite(fx):
+            return x, fx, steps, "h is not finite"
+        if abs(fx) < tol:
+            return x, fx, steps, None
+        if bracketed and (fx > 0.0) == (fb > 0.0):
+            fa *= 0.5
+        else:
+            bracketed = bracketed or (steps > 1 and (fx > 0.0) != (fb > 0.0))
+            a, fa = b, fb
+        b, fb = x, fx
+        secant = b - fb * (b - a) / (fb - fa) if fb != fa else math.nan
+        if bracketed:
+            if abs(b - a) < 1e-15 * (1.0 + abs(b)):
+                return b, fb, steps, None
+            x = secant
+            continue
+        step = math.copysign(step, -fb)
+        x = secant if 0.0 < (secant - b) / step < 1.0 else b + step
+        x = min(max(x, b0 - width), b0 + width)
+        if x == b:
+            return b, fb, steps, f"h keeps its sign within {width:.3g}"
+        step = 2.0 * (x - b)
+    return b, fb, max_steps, f"|h| = {abs(fb):.3e} after {max_steps} steps"
+
+
+def backward_solve(params: OUBParams, cfg: SolverConfig = SolverConfig()) -> BoundarySolution:
+    """Solve the discretised free-boundary equation exactly, node by node.
+
+    Row i of the Riemann sum involves beta_i and later nodes only, so from
+    the pinned end back each node is a root of h(b) = b - z +
+    sum_j w_j K(t_i, b, t_j, beta_j): the first sign change _node_root
+    finds from beta_{i+1} within 2*gamma*sqrt(t_{i+1} - t_i) of it (over
+    the envelope at N >= 120 smooth boundaries move by less than half
+    that), to |h| < 1e-9*max(1, gamma), its first step the last node's move.
+    cfg.max_iter caps the steps (kernel rows) per node; iterations counts
+    them. At far pins h can stay just below zero near the boundary, its
+    nearest root far off. A node with no root in its window, or out of
+    steps, raises ConvergenceError (with the partial solution) instead.
     """
     _require_canonical(params)
     grid = cfg.build_grid()
-    t = grid.nodes
-    n = grid.n
-    z = params.z
+    t, n, z = grid.nodes, grid.n, params.z
     tol = 1e-9 * max(1.0, params.gamma)
     beta = np.full(n + 1, z, dtype=float)
-    total_iters = 0
-    worst = 0.0
-
+    step = params.gamma * math.sqrt(t[n - 1] - t[n - 2])
+    total, worst = 0, 0.0
     for i in range(n - 2, -1, -1):
         _, j, w = _riemann_rows(t, t[i])
         x2 = beta[j]
         table = KernelTable(params, t[i], t[j])
 
-        def g(b: float) -> float:
+        def h(b: float) -> float:
             k = drift_kernel(params, None, b, None, x2, table=table)
-            return z - float(np.dot(k, w))
+            return b - z + float(np.dot(k, w))
 
-        lo = z - 10.0 * params.gamma
-        hi = z + 10.0 * params.gamma
-        h_lo = lo - g(lo)
-        h_hi = hi - g(hi)
-        if h_lo == 0.0:
-            b, h = lo, 0.0
-        elif h_hi == 0.0:
-            b, h = hi, 0.0
-        elif h_lo * h_hi > 0.0:
-            raise ScalarSolveError(
-                f"no sign change on [z-10*gamma, z+10*gamma] at node {i}",
-                node=i)
-        else:
-            for _ in range(200):
-                b = 0.5 * (lo + hi)
-                h = b - g(b)
-                total_iters += 1
-                if abs(h) < tol or (hi - lo) < 1e-15 * (1.0 + abs(b)):
-                    break
-                if (h > 0.0) == (h_hi > 0.0):
-                    hi, h_hi = b, h
-                else:
-                    lo = b
+        width = 2.0 * params.gamma * math.sqrt(t[i + 1] - t[i])
+        b, hb, steps, error = _node_root(h, beta[i + 1], step, width, tol,
+                                         cfg.max_iter)
+        total += steps
+        worst = max(worst, abs(hb))
+        if error is not None:
+            sol = BoundarySolution(grid=grid, beta=beta, iterations=total,
+                                   final_residual=worst, method="backward")
+            raise ConvergenceError(f"backward induction found no root at "
+                                   f"node {i}: {error}", sol)
         beta[i] = b
-        worst = max(worst, abs(h))
+        step = max(abs(b - beta[i + 1]), tol)
 
-    return BoundarySolution(grid=grid, beta=beta, iterations=total_iters,
+    return BoundarySolution(grid=grid, beta=beta, iterations=total,
                             final_residual=worst, method="backward")
 
 
@@ -332,12 +346,16 @@ class SolvedBoundary:
 
 def solve_boundary(params: OUBParams,
                    cfg: SolverConfig = SolverConfig()) -> SolvedBoundary:
-    """Solve for general parameters by Picard iteration on the canonical
-    problem.
+    """Solve for general parameters on the canonical problem: by backward
+    induction, or by Picard iteration (smooth, stopped at cfg.eps) where
+    that raises ConvergenceError.
 
     The reduction is exact (affine), so equivariance in the pulling level
     and the horizon holds node-wise up to the shared canonical solve.
     """
     red = reduce_to_canonical(params)
-    return SolvedBoundary(reduction=red,
-                          canonical=picard_solve(red.canonical, cfg))
+    try:
+        sol = backward_solve(red.canonical, cfg)
+    except ConvergenceError:
+        sol = picard_solve(red.canonical, cfg)
+    return SolvedBoundary(reduction=red, canonical=sol)

@@ -145,8 +145,8 @@ def test_criterion_08_parameter_equivariances():
     T = 2.0
     general = solve_boundary(OUBParams(alpha=2.0, gamma=1.0, z=0.0,
                                        horizon=T), CFG)
-    canonical = picard_solve(OUBParams(alpha=4.0, gamma=math.sqrt(2.0),
-                                       z=0.0), CFG)
+    canonical = backward_solve(OUBParams(alpha=4.0, gamma=math.sqrt(2.0),
+                                         z=0.0), CFG)
     tau = canonical.grid.nodes
     dev_horizon = float(np.max(np.abs(general.eval(T * tau)
                                       - canonical.beta)))

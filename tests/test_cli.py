@@ -10,8 +10,8 @@ from oubstop import (
     SolverConfig,
     TimeGrid,
     ValueSurfaceQuery,
+    backward_solve,
     boundary_eval,
-    picard_solve,
     reduce_to_canonical,
     simulate_stopped_payoff,
     solve_boundary,
@@ -198,7 +198,7 @@ def test_verify_simulates_once_and_keeps_numbers(tmp_path, monkeypatch):
     rows = dict(r.split(",", 1)
                 for r in out.read_text().strip().splitlines()[1:])
     params = OUBParams(alpha=1.0, gamma=1.0, z=0.0)
-    sol = picard_solve(params, SolverConfig(n=150))
+    sol = backward_solve(params, SolverConfig(n=150))
     est = simulate_stopped_payoff(params, sol, 0.0, 0.0,
                                   MCConfig(paths=20000, seed=9))
     v0 = value(params, sol, ValueSurfaceQuery(t=0.0, x=0.0))
@@ -290,13 +290,13 @@ def test_figures_datasets(tmp_path):
 
 def test_figures_solve_each_problem_once(tmp_path, monkeypatch):
     solves = []
-    picard_solve = cli.picard_solve
+    solve = cli.solve_boundary
 
     def counted(params, cfg):
         solves.append((params, cfg))
-        return picard_solve(params, cfg)
+        return solve(params, cfg)
 
-    monkeypatch.setattr(cli, "picard_solve", counted)
+    monkeypatch.setattr(cli, "solve_boundary", counted)
     outdir = tmp_path / "figs"
     assert run_cli("figures", "--n", "60", "--out", str(outdir)) == 0
     # fig1: 9 of 18 (+-alpha), fig2: 6 new of 9 (gamma = 1 is fig1's
@@ -323,6 +323,32 @@ def test_figures_solve_each_problem_once(tmp_path, monkeypatch):
         fig3 = columns(f"fig3_n{n}.csv")
         for col, z in enumerate((0.0, -5.0, 5.0), 1):
             assert np.array_equal(fig3[:, col], alone(1.0, 1.0, z, n) - z)
+
+
+@pytest.mark.parametrize("threads", ("2.5", "0", "abc"))
+def test_bad_thread_count_names_the_variable(threads, monkeypatch, capsys):
+    monkeypatch.setenv("OUBSTOP_THREADS", threads)
+    assert run_cli("solve", "--n", "20") == 2
+    err = capsys.readouterr().err
+    assert f"error: OUBSTOP_THREADS must be an integer >= 1, got '{threads}'" \
+        in err
+
+
+def test_solve_far_pin_strong_pull(capsys):
+    # Picard runs out of its 500 sweeps here; the node-by-node solve
+    # reaches its tolerance at every node
+    assert run_cli("solve", "--alpha", "5", "--gamma", "0.5", "--z", "-5",
+                   "--n", "500") == 0
+    err = capsys.readouterr().err
+    assert float(err.split("residual=")[1].split()[0]) <= 1e-9
+
+
+def test_eps_flag_is_gone():
+    # Picard's tolerance, which the fallback keeps at its default: iterated
+    # on past it at far pins, Picard drifts to a fixed point with spikes
+    with pytest.raises(SystemExit) as err:
+        run_cli("solve", "--eps", "1e-3")
+    assert err.value.code == 2
 
 
 def test_validation_errors_exit_code(capsys):

@@ -16,7 +16,6 @@ PUBLIC_NAMES = [
     "MCEstimate",
     "OUBParams",
     "PerturbationReport",
-    "ScalarSolveError",
     "SolvedBoundary",
     "SolverConfig",
     "TimeGrid",
