@@ -17,7 +17,6 @@ from .bridge import (
 )
 from .kernel import (
     KernelQuery,
-    KernelTable,
     density,
     drift_kernel,
     survival,

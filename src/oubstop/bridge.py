@@ -163,7 +163,9 @@ def cond_mean(params: OUBParams, t1, x1, t2):
         raise ValueError("t1 must be < 1")
     aa = abs(params.alpha)
     den = np.sinh(aa * (1.0 - t1))
-    out = (x1 * np.sinh(aa * (1.0 - t2)) + params.z * np.sinh(aa * (t2 - t1))) / den
+    # each weight over den on its own: exactly 0 and 1 at t2 = 1, so z exactly
+    out = (x1 * (np.sinh(aa * (1.0 - t2)) / den)
+           + params.z * (np.sinh(aa * (t2 - t1)) / den))
     return out if out.ndim else float(out)
 
 

@@ -102,8 +102,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--theta", type=float, default=0.0)
     common.add_argument("--horizon", type=float, default=1.0)
     common.add_argument("--n", type=int, default=500, help="mesh size N")
-    common.add_argument("--max-iter", type=int, default=500,
-                        help="root-finder steps per node (Picard: sweeps)")
+    common.add_argument("--max-iter", type=int, default=2000,
+                        help="Picard sweeps, where backward induction "
+                        "falls back to Picard")
     common.add_argument("--seed", type=int, default=1)
     common.add_argument("--paths", type=int, default=100_000)
     common.add_argument("--out", type=str, default=None)
@@ -146,7 +147,6 @@ def cmd_solve(cfg: RunConfig) -> int:
     try:
         sol = solve_boundary(cfg.params, cfg.solver)
     except ConvergenceError as err:
-        print(f"error: {err}", file=sys.stderr)
         if cfg.out is not None:
             partial = SolvedBoundary(reduction=reduce_to_canonical(cfg.params),
                                      canonical=err.solution)
@@ -154,7 +154,7 @@ def cmd_solve(cfg: RunConfig) -> int:
                            cfg.out + ".partial")
             print(f"partial result written to {cfg.out}.partial",
                   file=sys.stderr)
-        return 2
+        raise
     _write_columns(("t", "beta"), (sol.nodes, sol.values), cfg.out)
     print(f"method={sol.canonical.method} iterations="
           f"{sol.canonical.iterations} "
@@ -167,6 +167,8 @@ def _parse_grid(arg: str):
         tpart, xpart = arg.split(",")
         t0, t1, nt = tpart.split(":")
         x0, x1, nx = xpart.split(":")
+        if int(nt) < 1 or int(nx) < 1:
+            raise ValueError("NT and NX must be >= 1")
         return (np.linspace(float(t0), float(t1), int(nt)),
                 np.linspace(float(x0), float(x1), int(nx)))
     except ValueError as exc:
@@ -337,7 +339,7 @@ def main(argv=None) -> int:
         if cfg.subcommand == "verify":
             return cmd_verify(cfg, args)
         return cmd_figures(cfg)
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, ConvergenceError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

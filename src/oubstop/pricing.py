@@ -57,11 +57,9 @@ def value(params: OUBParams, sol: BoundarySolution, q: ValueSurfaceQuery,
     _require_canonical(params)
     if clamp and q.x >= boundary_eval(sol, q.t):
         return float(q.x)
-    _, j, w = _riemann_rows(sol.grid.nodes, q.t)
-    if j.size == 0:
-        # the whole remaining time lies in the dropped terminal strip
-        return float(params.z)
-    k = drift_kernel(params, q.t, q.x, sol.grid.nodes[j], sol.beta[j])
+    # a start in the dropped terminal strip has an empty row: V = z
+    _, j, w, table = _riemann_rows(params, sol.grid.nodes, q.t)
+    k = drift_kernel(params, None, q.x, None, sol.beta[j], table=table)
     return float(params.z - np.dot(k, w))
 
 

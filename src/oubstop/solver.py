@@ -100,12 +100,13 @@ def log_partition(n: int) -> TimeGrid:
 @dataclass(frozen=True)
 class SolverConfig:
     """Solver knobs; defaults follow the reference setup (N = 500,
-    logarithmic mesh). eps (1e-4) is picard_solve's tolerance only;
-    max_iter caps Picard's sweeps and backward_solve's steps per node."""
+    logarithmic mesh). backward_solve reads n only: eps (1e-4) is
+    picard_solve's tolerance and max_iter caps its sweeps (up to ~650 over
+    the documented envelope at N <= 500)."""
 
     n: int = 500
     eps: float = 1e-4
-    max_iter: int = 500
+    max_iter: int = 2000
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -151,15 +152,17 @@ def boundary_eval(sol: BoundarySolution, t):
     return out if out.ndim else float(out)
 
 
-def _riemann_rows(nodes: np.ndarray, starts):
-    """The right Riemann sum of integral_s^1 f(u) du on the grid nodes, for
-    each start s in starts (0 <= s < 1), as flat arrays (row, j, w).
+def _riemann_rows(params: OUBParams, nodes: np.ndarray, starts):
+    """The right Riemann sum of integral_s^1 K(s, ., u, .) du on the grid
+    nodes, for each start s in starts (0 <= s < 1), as flat arrays
+    (row, j, w) and the KernelTable of their time pairs (s, t_j).
 
-    Row r (the index of its start) sums w * f(t_j) over the right endpoints
-    t_j in (s, t_{N-1}], where w is the width from t_j back to the previous
-    endpoint, or back to s itself for the first one. The addend ending at
-    t_N = 1 is dropped: the kernel is undefined there. Picard, backward
-    induction and pricing.value all take their quadrature from here.
+    Row r (the index of its start) sums w * K(s, ., t_j, .) over the right
+    endpoints t_j in (s, t_{N-1}], where w is the width from t_j back to the
+    previous endpoint, or back to s itself for the first one. The addend
+    ending at t_N = 1 is dropped: the kernel is undefined there. Picard,
+    backward induction and pricing.value all take their quadrature and
+    kernel table from here.
     """
     starts = np.atleast_1d(np.asarray(starts, dtype=float))
     first = np.searchsorted(nodes, starts, side="right")
@@ -171,25 +174,16 @@ def _riemann_rows(nodes: np.ndarray, starts):
     w = np.diff(nodes)[j - 1]
     live = counts > 0
     w[head[live]] = nodes[first[live]] - starts[live]
-    return row, j, w
+    return row, j, w, KernelTable(params, starts[row], nodes[j])
 
 
-def _triangle(params: OUBParams, grid: TimeGrid):
-    # The Riemann rows of the starts t_0..t_{N-2} as one flat operator,
-    # built once per solve: a sweep only gathers beta at both ends of each
-    # pair.
-    t = grid.nodes
-    i_idx, j_idx, w = _riemann_rows(t, t[:-2])
-    return {"i": i_idx, "j": j_idx, "w": w, "n": grid.n,
-            "table": KernelTable(params, t[i_idx], t[j_idx])}
-
-
-def _picard_sweep(params: OUBParams, tri, beta: np.ndarray) -> np.ndarray:
-    """One full-boundary update of the discretised Volterra equation."""
-    k = drift_kernel(params, None, beta[tri["i"]], None, beta[tri["j"]],
-                     table=tri["table"])
-    k *= tri["w"]
-    sums = np.bincount(tri["i"], weights=k, minlength=tri["n"])
+def _picard_sweep(params: OUBParams, rows, beta: np.ndarray) -> np.ndarray:
+    """One full-boundary update of the discretised Volterra equation on the
+    Riemann rows of the starts t_0..t_{N-2}."""
+    i, j, w, table = rows
+    k = drift_kernel(params, None, beta[i], None, beta[j], table=table)
+    k *= w
+    sums = np.bincount(i, weights=k, minlength=beta.size - 1)
     new = np.empty_like(beta)
     new[:-1] = params.z - sums
     new[-1] = params.z
@@ -207,10 +201,10 @@ def picard_solve(params: OUBParams, cfg: SolverConfig = SolverConfig()) -> Bound
     """
     _require_canonical(params)
     grid = cfg.build_grid()
-    tri = _triangle(params, grid)
+    rows = _riemann_rows(params, grid.nodes, grid.nodes[:-2])
     beta = np.full(grid.nodes.size, params.z, dtype=float)
     for k in range(1, cfg.max_iter + 1):
-        new = _picard_sweep(params, tri, beta)
+        new = _picard_sweep(params, rows, beta)
         residual = float(np.max(np.abs(new - beta)))
         beta = new
         if residual < cfg.eps:
@@ -224,8 +218,12 @@ def picard_solve(params: OUBParams, cfg: SolverConfig = SolverConfig()) -> Bound
     return sol
 
 
-def _node_root(h, b0: float, step: float, width: float, tol: float,
-               max_steps: int):
+# Steps (kernel rows) per node in backward_solve; over the 27-case envelope
+# at N = 10-500 no node takes more than 11.
+_MAX_NODE_STEPS = 40
+
+
+def _node_root(h, b0: float, step: float, width: float, tol: float):
     """The first sign change of h, which rises through it, from b0 out.
 
     Until h changes sign each step heads down where h > 0 and up otherwise,
@@ -237,7 +235,7 @@ def _node_root(h, b0: float, step: float, width: float, tol: float,
     """
     a = fa = b = fb = math.nan  # the last two points; h(a)h(b) < 0 once
     x, bracketed = b0, False
-    for steps in range(1, max_steps + 1):
+    for steps in range(1, _MAX_NODE_STEPS + 1):
         fx = h(x)
         if not math.isfinite(fx):
             return x, fx, steps, "h is not finite"
@@ -261,7 +259,7 @@ def _node_root(h, b0: float, step: float, width: float, tol: float,
         if x == b:
             return b, fb, steps, f"h keeps its sign within {width:.3g}"
         step = 2.0 * (x - b)
-    return b, fb, max_steps, f"|h| = {abs(fb):.3e} after {max_steps} steps"
+    return b, fb, steps, f"|h| = {abs(fb):.3e} after {steps} steps"
 
 
 def backward_solve(params: OUBParams, cfg: SolverConfig = SolverConfig()) -> BoundarySolution:
@@ -273,10 +271,11 @@ def backward_solve(params: OUBParams, cfg: SolverConfig = SolverConfig()) -> Bou
     finds from beta_{i+1} within 2*gamma*sqrt(t_{i+1} - t_i) of it (over
     the envelope at N >= 120 smooth boundaries move by less than half
     that), to |h| < 1e-9*max(1, gamma), its first step the last node's move.
-    cfg.max_iter caps the steps (kernel rows) per node; iterations counts
-    them. At far pins h can stay just below zero near the boundary, its
-    nearest root far off. A node with no root in its window, or out of
-    steps, raises ConvergenceError (with the partial solution) instead.
+    _MAX_NODE_STEPS caps the steps (kernel rows) per node; iterations
+    counts them. Of cfg it reads n only. At far pins h can stay just below
+    zero near the boundary, its nearest root far off. A node with no root
+    in its window, or out of steps, raises ConvergenceError (with the
+    partial solution) instead.
     """
     _require_canonical(params)
     grid = cfg.build_grid()
@@ -286,17 +285,15 @@ def backward_solve(params: OUBParams, cfg: SolverConfig = SolverConfig()) -> Bou
     step = params.gamma * math.sqrt(t[n - 1] - t[n - 2])
     total, worst = 0, 0.0
     for i in range(n - 2, -1, -1):
-        _, j, w = _riemann_rows(t, t[i])
+        _, j, w, table = _riemann_rows(params, t, t[i])
         x2 = beta[j]
-        table = KernelTable(params, t[i], t[j])
 
         def h(b: float) -> float:
             k = drift_kernel(params, None, b, None, x2, table=table)
             return b - z + float(np.dot(k, w))
 
         width = 2.0 * params.gamma * math.sqrt(t[i + 1] - t[i])
-        b, hb, steps, error = _node_root(h, beta[i + 1], step, width, tol,
-                                         cfg.max_iter)
+        b, hb, steps, error = _node_root(h, beta[i + 1], step, width, tol)
         total += steps
         worst = max(worst, abs(hb))
         if error is not None:

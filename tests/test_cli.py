@@ -87,9 +87,12 @@ def test_verify_accepts_general_horizon_boundary(tmp_path):
 
 
 def test_solve_nonconvergence_writes_partial(tmp_path, capsys):
+    # canonically alpha = 1, gamma = 0.5, z = -5: backward induction finds
+    # no root at node 0, and one Picard sweep does not converge
     out = tmp_path / "b.csv"
-    code = run_cli("solve", "--n", "60", "--max-iter", "1", "--theta", "1",
-                   "--horizon", "3", "--z", "2", "--out", str(out))
+    code = run_cli("solve", "--n", "120", "--max-iter", "1", "--alpha",
+                   "0.25", "--gamma", "0.25", "--theta", "1", "--horizon",
+                   "4", "--z", "-4", "--out", str(out))
     assert code == 2
     assert not out.exists()
     partial = tmp_path / "b.csv.partial"
@@ -97,13 +100,14 @@ def test_solve_nonconvergence_writes_partial(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     # the library's last iterate, in original coordinates; 17 digits
     # round-trip exactly
-    params = OUBParams(alpha=1.0, gamma=1.0, z=2.0, theta=1.0, horizon=3.0)
+    params = OUBParams(alpha=0.25, gamma=0.25, z=-4.0, theta=1.0,
+                       horizon=4.0)
     with pytest.raises(ConvergenceError) as err:
-        solve_boundary(params, SolverConfig(n=60, max_iter=1))
+        solve_boundary(params, SolverConfig(n=120, max_iter=1))
     expected = SolvedBoundary(reduction=reduce_to_canonical(params),
                               canonical=err.value.solution)
     t, beta = read_boundary_csv(str(partial))
-    assert t.size == 61
+    assert t.size == 121
     assert np.array_equal(t, expected.nodes)
     assert np.array_equal(beta, expected.values)
 
@@ -351,10 +355,34 @@ def test_eps_flag_is_gone():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("subcommand", ("value", "verify", "figures"))
+def test_convergence_error_exits_2(subcommand, tmp_path, capsys):
+    # backward induction finds no root at node 0 and one Picard sweep does
+    # not converge: a convergence error (exit 2), not a traceback, and for
+    # verify not a failed verification (exit 1)
+    point = ("--t", "0", "--x", "0") if subcommand == "value" else ()
+    code = run_cli(subcommand, "--alpha", "1", "--gamma", "0.5", "--z",
+                   "-5", "--n", "120", "--max-iter", "1", *point,
+                   "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_solve_picard_fallback_within_default_sweeps(capsys):
+    # at the edge of the documented envelope backward induction falls back
+    # and Picard needs 540 sweeps
+    assert run_cli("solve", "--alpha", "1", "--gamma", "0.25", "--z",
+                   "-5") == 0
+    assert "method=picard" in capsys.readouterr().err
+
+
 def test_validation_errors_exit_code(capsys):
     assert run_cli("solve", "--gamma", "-1") == 2
     assert "error:" in capsys.readouterr().err
     assert run_cli("value", "--grid", "junk") == 2
+    capsys.readouterr()
+    assert run_cli("value", "--grid", "0:0.9:0,-1:1:3") == 2
+    assert "bad --grid value" in capsys.readouterr().err
     assert run_cli("solve", "--n", "1") == 2
 
 

@@ -238,16 +238,18 @@ def test_kernel_oracle_vs_closed_form_alpha_signs():
 
 def test_paths_pinned_at_horizon(std_params):
     # walk paths with the simulator's own transition: after the last step
-    # every position is exactly z
+    # every position is exactly z (z = 0.7, N = 100 once landed 1 ulp off)
     from oubstop.mc import _advance, _monitor_nodes, _step_coefficients
-    sol = picard_solve(std_params, SolverConfig(n=50))
-    nodes, _ = _monitor_nodes(sol, 0.0)
-    slope, shift, sd = _step_coefficients(std_params, nodes)
-    rng = np.random.default_rng(0)
-    x = np.zeros(200)
-    for k in range(slope.size):
-        x = _advance(x, k, slope, shift, sd, rng.standard_normal(x.size))
-    assert np.all(x == std_params.z)
+    for params, n in ((std_params, 50),
+                      (OUBParams(alpha=1.0, gamma=1.0, z=0.7), 100)):
+        sol = picard_solve(params, SolverConfig(n=n))
+        nodes, _ = _monitor_nodes(sol, 0.0)
+        slope, shift, sd = _step_coefficients(params, nodes)
+        rng = np.random.default_rng(0)
+        x = np.zeros(200)
+        for k in range(slope.size):
+            x = _advance(x, k, slope, shift, sd, rng.standard_normal(x.size))
+        assert np.all(x == params.z)
 
 
 def test_import_leaves_quadrature_out():

@@ -11,7 +11,6 @@ PUBLIC_NAMES = [
     "CanonicalReduction",
     "ConvergenceError",
     "KernelQuery",
-    "KernelTable",
     "MCConfig",
     "MCEstimate",
     "OUBParams",

@@ -19,7 +19,8 @@ from oubstop import (
     solve_boundary,
     value,
 )
-from oubstop.solver import _picard_sweep, _triangle
+from oubstop import solver
+from oubstop.solver import _picard_sweep, _riemann_rows
 
 
 def test_log_partition_endpoints_and_midpoint():
@@ -154,9 +155,10 @@ def test_backward_bisection_meets_tolerance(alpha, gamma, z):
                       < 1.5 * gamma * np.sqrt(np.diff(t)))
 
 
-def test_backward_failure_carries_partial():
+def test_backward_failure_carries_partial(monkeypatch):
     # with one step per node the warm start z is the only try at node N-2
-    cfg = SolverConfig(n=50, max_iter=1)
+    monkeypatch.setattr(solver, "_MAX_NODE_STEPS", 1)
+    cfg = SolverConfig(n=50)
     with pytest.raises(ConvergenceError, match="no root at node 48") as err:
         backward_solve(OUBParams(alpha=1.0, gamma=1.0, z=0.0), cfg)
     sol = err.value.solution
@@ -286,8 +288,8 @@ def test_operator_sweep_matches_row_by_row(alpha, gamma, z):
     dt = np.diff(t)
     beta = z + 0.84 * gamma * np.sqrt(1.0 - t)
     beta[-1] = z
-    tri = _triangle(p, grid)
-    swept = _picard_sweep(p, tri, beta)
+    riemann = _riemann_rows(p, t, t[:-2])
+    swept = _picard_sweep(p, riemann, beta)
     rows = [z - float(np.dot(drift_kernel(p, t[i], beta[i], t[i + 1:n],
                                           beta[i + 1:n]), dt[i:n - 1]))
             for i in range(n - 1)]
@@ -306,5 +308,5 @@ def test_operator_sweep_matches_row_by_row(alpha, gamma, z):
     i, j = np.triu_indices(n - 1)
     x1, x2 = beta[i], beta[j + 1]
     direct = drift_kernel(p, t[i], x1, t[j + 1], x2)
-    tabled = drift_kernel(p, None, x1, None, x2, table=tri["table"])
+    tabled = drift_kernel(p, None, x1, None, x2, table=riemann[3])
     assert np.array_equal(direct, tabled)
