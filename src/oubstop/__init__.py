@@ -20,7 +20,6 @@ from .kernel import (
     density,
     drift_kernel,
     survival,
-    transformed_integrand,
 )
 from .mc import (
     MCConfig,
@@ -30,7 +29,7 @@ from .mc import (
     perturbation_test,
     simulate_stopped_payoff,
 )
-from .pricing import ValueSurfaceQuery, transformed_value, value
+from .pricing import ValueSurfaceQuery, value
 from .solver import (
     BoundarySolution,
     ConvergenceError,
@@ -47,12 +46,9 @@ from .transform import (
     TransformContext,
     envelope,
     envelope_deriv,
-    gain,
-    gain_t,
     make_context,
     original_to_transformed,
     upsilon,
-    upsilon_inv,
 )
 
 __version__ = "0.1.0"

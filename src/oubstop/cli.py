@@ -1,6 +1,9 @@
 """Command-line front end: solve boundaries, evaluate values, run the
 verification suite, and emit figure datasets as CSV files.
 
+Each subcommand accepts only the flags it reads (see build_parser); only
+verify simulates, so only it takes --seed, --paths and OUBSTOP_THREADS.
+
 Data goes to files or standard output, diagnostics to standard error.
 Exit codes: 0 success, 1 verification failures, 2 validation or
 convergence errors. All outputs are deterministic given the full flag set
@@ -12,7 +15,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +38,7 @@ from .solver import (
 from .solver import picard_solve  # noqa: F401
 from .transform import envelope, envelope_deriv, make_context, original_to_transformed
 
-__all__ = ["main", "build_parser", "RunConfig"]
+__all__ = ["main", "build_parser"]
 
 _BB_SLOPE = 0.8399  # Brownian-bridge boundary constant z + L*sqrt(1-t)
 
@@ -44,17 +46,6 @@ _FIG1_ALPHAS = (0.01, -0.01, 1.0, -1.0, 5.0, -5.0)
 _FIG2_GAMMAS = (0.5, 1.0, 2.0)
 _FIG3_SIZES = (10, 100, 500)
 _FIG_PINS = (0.0, -5.0, 5.0)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated CLI inputs; construction fails before any computation."""
-
-    subcommand: str
-    params: OUBParams
-    solver: SolverConfig
-    mc: MCConfig
-    out: str | None
 
 
 def _fmt(x: float) -> str:
@@ -96,34 +87,35 @@ def read_boundary_csv(path: str):
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--alpha", type=float, default=1.0)
-    common.add_argument("--gamma", type=float, default=1.0)
-    common.add_argument("--z", type=float, default=0.0)
-    common.add_argument("--theta", type=float, default=0.0)
-    common.add_argument("--horizon", type=float, default=1.0)
     common.add_argument("--n", type=int, default=500, help="mesh size N")
     common.add_argument("--max-iter", type=int, default=2000,
-                        help="Picard sweeps, where backward induction "
-                        "falls back to Picard")
-    common.add_argument("--seed", type=int, default=1)
-    common.add_argument("--paths", type=int, default=100_000)
+                      help="Picard sweeps, where backward induction "
+                      "falls back to Picard")
     common.add_argument("--out", type=str, default=None)
+    problem = argparse.ArgumentParser(add_help=False)
+    problem.add_argument("--alpha", type=float, default=1.0)
+    problem.add_argument("--gamma", type=float, default=1.0)
+    problem.add_argument("--z", type=float, default=0.0)
+    problem.add_argument("--theta", type=float, default=0.0)
+    problem.add_argument("--horizon", type=float, default=1.0)
 
     parser = argparse.ArgumentParser(
         prog="oubstop",
         description="Optimal stopping boundary of an Ornstein-Uhlenbeck bridge",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    sub.add_parser("solve", parents=[common],
+    sub.add_parser("solve", parents=[problem, common],
                    help="solve the boundary and write a t,beta CSV")
-    p_val = sub.add_parser("value", parents=[common],
+    p_val = sub.add_parser("value", parents=[problem, common],
                            help="evaluate the value function")
     p_val.add_argument("--t", type=float, default=None)
     p_val.add_argument("--x", type=float, default=None)
     p_val.add_argument("--grid", type=str, default=None,
                        help="surface mode: T0:T1:NT,X0:X1:NX")
-    p_ver = sub.add_parser("verify", parents=[common],
+    p_ver = sub.add_parser("verify", parents=[problem, common],
                            help="run the verification checks")
+    p_ver.add_argument("--seed", type=int, default=1)
+    p_ver.add_argument("--paths", type=int, default=100_000)
     p_ver.add_argument("--boundary", type=str, default=None,
                        help="verify a boundary CSV instead of solving")
     sub.add_parser("figures", parents=[common],
@@ -131,31 +123,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_config(args: argparse.Namespace) -> RunConfig:
-    params = OUBParams(alpha=args.alpha, gamma=args.gamma, z=args.z,
-                       theta=args.theta, horizon=args.horizon)
-    solver = SolverConfig(n=args.n, max_iter=args.max_iter)
-    threads = os.environ.get("OUBSTOP_THREADS", "1").strip()
-    if not threads.isdecimal() or int(threads) < 1:
-        raise ValueError(f"OUBSTOP_THREADS must be an integer >= 1, got {threads!r}")
-    mc = MCConfig(paths=args.paths, seed=args.seed, workers=int(threads))
-    return RunConfig(subcommand=args.subcommand, params=params, solver=solver,
-                     mc=mc, out=args.out)
+def _problem(args: argparse.Namespace) -> tuple[OUBParams, SolverConfig]:
+    """The problem and solver settings of solve, value and verify."""
+    return (OUBParams(alpha=args.alpha, gamma=args.gamma, z=args.z,
+                      theta=args.theta, horizon=args.horizon),
+            SolverConfig(n=args.n, max_iter=args.max_iter))
 
 
-def cmd_solve(cfg: RunConfig) -> int:
+def cmd_solve(args: argparse.Namespace) -> int:
+    params, cfg = _problem(args)
     try:
-        sol = solve_boundary(cfg.params, cfg.solver)
+        sol = solve_boundary(params, cfg)
     except ConvergenceError as err:
-        if cfg.out is not None:
-            partial = SolvedBoundary(reduction=reduce_to_canonical(cfg.params),
+        if args.out is not None:
+            partial = SolvedBoundary(reduction=reduce_to_canonical(params),
                                      canonical=err.solution)
             _write_columns(("t", "beta"), (partial.nodes, partial.values),
-                           cfg.out + ".partial")
-            print(f"partial result written to {cfg.out}.partial",
+                           args.out + ".partial")
+            print(f"partial result written to {args.out}.partial",
                   file=sys.stderr)
         raise
-    _write_columns(("t", "beta"), (sol.nodes, sol.values), cfg.out)
+    _write_columns(("t", "beta"), (sol.nodes, sol.values), args.out)
     print(f"method={sol.canonical.method} iterations="
           f"{sol.canonical.iterations} "
           f"residual={sol.canonical.final_residual:.6e}", file=sys.stderr)
@@ -167,40 +155,41 @@ def _parse_grid(arg: str):
         tpart, xpart = arg.split(",")
         t0, t1, nt = tpart.split(":")
         x0, x1, nx = xpart.split(":")
-        if int(nt) < 1 or int(nx) < 1:
-            raise ValueError("NT and NX must be >= 1")
-        return (np.linspace(float(t0), float(t1), int(nt)),
-                np.linspace(float(x0), float(x1), int(nx)))
+        ends = [float(v) for v in (t0, t1, x0, x1)]
+        if int(nt) < 1 or int(nx) < 1 or not all(map(math.isfinite, ends)):
+            raise ValueError("NT and NX must be >= 1, the ends finite")
+        return (np.linspace(*ends[:2], int(nt)),
+                np.linspace(*ends[2:], int(nx)))
     except ValueError as exc:
         raise ValueError(f"bad --grid value {arg!r}, "
                          "expected T0:T1:NT,X0:X1:NX") from exc
 
 
-def cmd_value(cfg: RunConfig, args: argparse.Namespace) -> int:
-    solved = solve_boundary(cfg.params, cfg.solver)
-    red, sol = solved.reduction, solved.canonical
-
-    def v_original(t: float, x: float) -> float:
-        q = ValueSurfaceQuery(t=float(red.to_canonical_time(t)),
-                              x=float(red.to_canonical_space(x)))
-        return value(red.canonical, sol, q) + red.space_shift
-
-    if args.grid is not None:
+def cmd_value(args: argparse.Namespace) -> int:
+    params, cfg = _problem(args)
+    if args.grid is not None and (args.t, args.x) == (None, None):
         ts, xs = _parse_grid(args.grid)
         pts = [(t, x) for t in ts for x in xs]
-    elif args.t is not None and args.x is not None:
+    elif args.grid is None and None not in (args.t, args.x):
         pts = [(args.t, args.x)]
     else:
-        raise ValueError("value needs --t and --x, or --grid")
+        raise ValueError("value needs either --t and --x or --grid")
+    if not all(0.0 <= t < params.horizon for t, _ in pts):
+        raise ValueError(f"value needs t in [0, {params.horizon!r})")
+    red = reduce_to_canonical(params)
+    queries = [ValueSurfaceQuery(t=float(red.to_canonical_time(t)),
+                                 x=float(red.to_canonical_space(x)))
+               for t, x in pts]
 
+    sol = solve_boundary(params, cfg).canonical
     ts, xs = zip(*pts)
     _write_columns(("t", "x", "V"),
-                   (ts, xs, [v_original(t, x) for t, x in pts]), cfg.out)
+                   (ts, xs, [value(red.canonical, sol, q) + red.space_shift
+                             for q in queries]), args.out)
     return 0
 
 
-def _verify_checks(cfg: RunConfig, params: OUBParams,
-                   sol: BoundarySolution):
+def _verify_checks(params: OUBParams, sol: BoundarySolution, mc: MCConfig):
     """Yield (name, statistic, threshold, passed) verification rows for the
     canonical problem params."""
     z, gamma = params.z, params.gamma
@@ -208,7 +197,7 @@ def _verify_checks(cfg: RunConfig, params: OUBParams,
     yield ("terminal_pinning", abs(float(sol.beta[-1]) - z), 0.0,
            float(sol.beta[-1]) == z)
 
-    rng = np.random.default_rng(cfg.mc.seed)
+    rng = np.random.default_rng(mc.seed)
     worst = 0.0
     for _ in range(20):
         t1 = rng.uniform(0.0, 0.95)
@@ -224,7 +213,7 @@ def _verify_checks(cfg: RunConfig, params: OUBParams,
     # one simulation: the unshifted rule is the baseline of the paired
     # perturbation test (common random numbers)
     report = perturbation_test(params, sol, (0.25 * gamma, -0.25 * gamma),
-                               0.0, z, cfg.mc)
+                               0.0, z, mc)
     est = report.baseline
     # MC stops in continuous time, but the discretised boundary next to the
     # horizon leaves it below v0 (about 1.4e-3 at N=500, shrinking with N);
@@ -240,11 +229,11 @@ def _verify_checks(cfg: RunConfig, params: OUBParams,
 
     # Transformed-coordinate lower bound at the initial node: below
     # c_z*(f - s f')/f' the gain strictly grows in time, so the true
-    # boundary cannot start there. At t = 0 the transform is undistorted
-    # and a violation is a reliable sign of a spurious fixed point (strong
-    # pulls towards a far-away level admit non-optimal solutions of the
-    # discretised equation); at later nodes a converged-but-discrete
-    # solution may legitimately ride the bound from below.
+    # boundary cannot start there. The margin equals
+    # (beta(0) - z/cosh(alpha))/scale. The true boundary stays above the
+    # bound at every node, not only at t = 0, so a discrete solution that
+    # crosses it later is just as wrong (a strong pull towards a far-away
+    # level that the mesh does not resolve); this row does not see that.
     ctx = make_context(params)
     s0, b0 = original_to_transformed(ctx, 0.0, float(sol.beta[0]))
     f0 = envelope(ctx.alpha, s0)
@@ -253,14 +242,19 @@ def _verify_checks(cfg: RunConfig, params: OUBParams,
     yield ("boundary_lower_bound", margin, 0.0, margin > 0.0)
 
 
-def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
-    red = reduce_to_canonical(cfg.params)
+def cmd_verify(args: argparse.Namespace) -> int:
+    params, cfg = _problem(args)
+    threads = os.environ.get("OUBSTOP_THREADS", "1").strip()
+    if not threads.isdecimal() or int(threads) < 1:
+        raise ValueError(f"OUBSTOP_THREADS must be an integer >= 1, got {threads!r}")
+    mc = MCConfig(paths=args.paths, seed=args.seed, workers=int(threads))
+    red = reduce_to_canonical(params)
     if args.boundary is not None:
         t, b = read_boundary_csv(args.boundary)
         nodes = np.asarray(red.to_canonical_time(t), dtype=float)
         if abs(nodes[-1] - 1.0) > 1e-12:
             raise ValueError(f"{args.boundary}: last time {float(t[-1])!r} "
-                             f"is not the horizon {cfg.params.horizon!r}")
+                             f"is not the horizon {params.horizon!r}")
         # absorb the rounding of t / horizon, which TimeGrid would reject
         nodes[-1] = 1.0
         sol = BoundarySolution(
@@ -268,20 +262,21 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
             beta=np.asarray(red.to_canonical_space(b), dtype=float),
             iterations=0, final_residual=math.nan, method="file")
     else:
-        sol = solve_boundary(cfg.params, cfg.solver).canonical
+        sol = solve_boundary(params, cfg).canonical
 
     lines = ["check,statistic,threshold,result"]
     failed = False
-    for name, stat, thr, ok in _verify_checks(cfg, red.canonical, sol):
+    for name, stat, thr, ok in _verify_checks(red.canonical, sol, mc):
         failed = failed or not ok
         lines.append(f"{name},{stat:.10g},{thr:.10g},"
                      f"{'pass' if ok else 'fail'}")
-    _emit(lines, cfg.out)
+    _emit(lines, args.out)
     return 1 if failed else 0
 
 
-def cmd_figures(cfg: RunConfig) -> int:
-    outdir = Path(cfg.out if cfg.out is not None else "figures")
+def cmd_figures(args: argparse.Namespace) -> int:
+    base = SolverConfig(n=args.n, max_iter=args.max_iter)
+    outdir = Path(args.out if args.out is not None else "figures")
     outdir.mkdir(parents=True, exist_ok=True)
     solved: dict = {}
 
@@ -290,7 +285,7 @@ def cmd_figures(cfg: RunConfig) -> int:
         # Each distinct canonical problem is solved once: +-alpha reduce to
         # the same one, and the figures share their alpha = gamma = 1 curves
         red = reduce_to_canonical(OUBParams(alpha=alpha, gamma=gamma, z=z))
-        solver = SolverConfig(n=n, max_iter=cfg.solver.max_iter)
+        solver = SolverConfig(n=n, max_iter=base.max_iter)
         key = (red.canonical, solver)
         if key not in solved:
             solved[key] = solve_boundary(red.canonical, solver).canonical
@@ -300,7 +295,7 @@ def cmd_figures(cfg: RunConfig) -> int:
         return ("m" if z < 0 else "p") + f"{abs(z):g}" if z else "0"
 
     for z in _FIG_PINS:
-        curves = [solve_beta(a, 1.0, z, cfg.solver.n)
+        curves = [solve_beta(a, 1.0, z, base.n)
                   for a in _FIG1_ALPHAS]
         t = curves[0].nodes
         bb = z + _BB_SLOPE * np.sqrt(1.0 - t)
@@ -310,7 +305,7 @@ def cmd_figures(cfg: RunConfig) -> int:
             str(outdir / f"fig1_z{ztag(z)}.csv"))
 
     for z in _FIG_PINS:
-        curves = [solve_beta(1.0, g, z, cfg.solver.n)
+        curves = [solve_beta(1.0, g, z, base.n)
                   for g in _FIG2_GAMMAS]
         _write_columns(["t"] + [f"gamma_{g:g}" for g in _FIG2_GAMMAS],
                        [curves[0].nodes] + [c.values for c in curves],
@@ -331,14 +326,13 @@ def cmd_figures(cfg: RunConfig) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _run_config(args)
-        if cfg.subcommand == "solve":
-            return cmd_solve(cfg)
-        if cfg.subcommand == "value":
-            return cmd_value(cfg, args)
-        if cfg.subcommand == "verify":
-            return cmd_verify(cfg, args)
-        return cmd_figures(cfg)
+        if args.subcommand == "solve":
+            return cmd_solve(args)
+        if args.subcommand == "value":
+            return cmd_value(args)
+        if args.subcommand == "verify":
+            return cmd_verify(args)
+        return cmd_figures(args)
     except (ValueError, OSError, ConvergenceError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

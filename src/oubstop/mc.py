@@ -64,10 +64,10 @@ class MCConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if not isinstance(self.paths, (int, np.integer)) or self.paths < 1:
-            raise ValueError("paths must be an integer >= 1")
-        if not isinstance(self.workers, (int, np.integer)) or self.workers < 1:
-            raise ValueError("workers must be an integer >= 1")
+        for name, low in (("paths", 1), ("seed", 0), ("workers", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}")
 
 
 @dataclass(frozen=True)

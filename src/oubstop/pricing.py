@@ -36,7 +36,7 @@ _TRUNCATION_TIME = 1.0 - 1e-6
 
 @dataclass(frozen=True)
 class ValueSurfaceQuery:
-    """A (t, x) evaluation request, t in [0, 1)."""
+    """A (t, x) evaluation request, t in [0, 1) and x finite."""
 
     t: float
     x: float
@@ -44,6 +44,8 @@ class ValueSurfaceQuery:
     def __post_init__(self) -> None:
         if not (0.0 <= self.t < 1.0):
             raise ValueError("value query requires t in [0, 1)")
+        if not np.isfinite(self.x):
+            raise ValueError("value query requires a finite x")
 
 
 def value(params: OUBParams, sol: BoundarySolution, q: ValueSurfaceQuery,

@@ -53,6 +53,8 @@ class ConvergenceError(RuntimeError):
     induction found no root at a node. .solution is the partial
     BoundarySolution (iterations and final_residual describe the failed
     run): Picard's last iterate, or the solved nodes, the others at z.
+    Where solve_boundary's Picard fallback fails too, the message names
+    both failures and .solution is Picard's.
     """
 
     def __init__(self, message: str, solution: BoundarySolution):
@@ -353,6 +355,10 @@ def solve_boundary(params: OUBParams,
     red = reduce_to_canonical(params)
     try:
         sol = backward_solve(red.canonical, cfg)
-    except ConvergenceError:
-        sol = picard_solve(red.canonical, cfg)
+    except ConvergenceError as backward_err:
+        try:
+            sol = picard_solve(red.canonical, cfg)
+        except ConvergenceError as picard_err:
+            raise ConvergenceError(f"{backward_err}; then {picard_err}",
+                                   picard_err.solution) from backward_err
     return SolvedBoundary(reduction=red, canonical=sol)

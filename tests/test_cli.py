@@ -1,3 +1,5 @@
+import argparse
+
 import numpy as np
 import pytest
 
@@ -332,7 +334,7 @@ def test_figures_solve_each_problem_once(tmp_path, monkeypatch):
 @pytest.mark.parametrize("threads", ("2.5", "0", "abc"))
 def test_bad_thread_count_names_the_variable(threads, monkeypatch, capsys):
     monkeypatch.setenv("OUBSTOP_THREADS", threads)
-    assert run_cli("solve", "--n", "20") == 2
+    assert run_cli("verify", "--n", "20") == 2
     err = capsys.readouterr().err
     assert f"error: OUBSTOP_THREADS must be an integer >= 1, got '{threads}'" \
         in err
@@ -360,12 +362,23 @@ def test_convergence_error_exits_2(subcommand, tmp_path, capsys):
     # backward induction finds no root at node 0 and one Picard sweep does
     # not converge: a convergence error (exit 2), not a traceback, and for
     # verify not a failed verification (exit 1)
+    # (figures draws alpha = 1, gamma = 0.5, z = -5 itself)
+    problem = () if subcommand == "figures" else (
+        "--alpha", "1", "--gamma", "0.5", "--z", "-5")
     point = ("--t", "0", "--x", "0") if subcommand == "value" else ()
-    code = run_cli(subcommand, "--alpha", "1", "--gamma", "0.5", "--z",
-                   "-5", "--n", "120", "--max-iter", "1", *point,
-                   "--out", str(tmp_path / "out"))
+    code = run_cli(subcommand, *problem, "--n", "120", "--max-iter", "1",
+                   *point, "--out", str(tmp_path / "out"))
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_convergence_error_names_both_solvers(capsys):
+    assert run_cli("value", "--alpha", "1", "--gamma", "0.5", "--z", "-5",
+                   "--n", "120", "--max-iter", "1", "--t", "0",
+                   "--x", "0") == 2
+    err = capsys.readouterr().err
+    assert "backward induction found no root at node 0" in err
+    assert "Picard" in err
 
 
 def test_solve_picard_fallback_within_default_sweeps(capsys):
@@ -384,6 +397,16 @@ def test_validation_errors_exit_code(capsys):
     assert run_cli("value", "--grid", "0:0.9:0,-1:1:3") == 2
     assert "bad --grid value" in capsys.readouterr().err
     assert run_cli("solve", "--n", "1") == 2
+    capsys.readouterr()
+    for x in ("nan", "inf"):
+        assert run_cli("value", "--n", "20", "--t", "0.2", "--x", x) == 2
+        assert "finite x" in capsys.readouterr().err
+    assert run_cli("value", "--grid", "0:0.5:2,-inf:0:2") == 2
+    assert "bad --grid value" in capsys.readouterr().err
+    assert run_cli("value", "--horizon", "3", "--t", "3", "--x", "0") == 2
+    assert "t in [0, 3.0)" in capsys.readouterr().err
+    assert run_cli("verify", "--seed", "-3") == 2
+    assert "error: seed must be an integer >= 0" in capsys.readouterr().err
 
 
 def test_verify_rejects_malformed_boundary_file(tmp_path, capsys):
@@ -410,3 +433,37 @@ def test_seventeen_digit_formatting(tmp_path):
     text = out.read_text()
     for ti in t[1:-1]:
         assert repr(float(ti)) in text or f"{ti:.17g}" in text
+
+
+def test_each_subcommand_accepts_only_the_flags_it_reads(monkeypatch,
+                                                         capsys):
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    flags = {name: sorted(s for a in p._actions for s in a.option_strings
+                          if s not in ("-h", "--help"))
+             for name, p in sub.choices.items()}
+    common = ["--max-iter", "--n", "--out"]
+    problem = sorted(common + ["--alpha", "--gamma", "--horizon", "--theta",
+                             "--z"])
+    assert flags == {
+        "solve": problem,
+        "value": sorted(problem + ["--grid", "--t", "--x"]),
+        "verify": sorted(problem + ["--boundary", "--paths", "--seed"]),
+        "figures": common,
+    }
+
+    for argv in (("figures", "--alpha", "5"), ("solve", "--seed", "1"),
+                 ("solve", "--paths", "0"), ("value", "--paths", "5")):
+        with pytest.raises(SystemExit) as err:
+            run_cli(*argv)
+        assert err.value.code == 2
+    capsys.readouterr()
+    # both modes of value at once is an error, not --grid winning
+    assert run_cli("value", "--t", "0.1", "--x", "0",
+                   "--grid", "0:0.9:2,-1:1:2") == 2
+    assert "either --t and --x or --grid" in capsys.readouterr().err
+    # only verify simulates, so only verify reads OUBSTOP_THREADS
+    monkeypatch.setenv("OUBSTOP_THREADS", "abc")
+    assert run_cli("solve", "--n", "20") == 0
+    assert run_cli("value", "--n", "20", "--t", "0", "--x", "0") == 0

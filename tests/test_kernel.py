@@ -12,14 +12,14 @@ from oubstop import (
     density,
     drift,
     drift_kernel,
-    gain_t,
     kernel_oracle,
     make_context,
     original_to_transformed,
     survival,
-    transformed_integrand,
     upsilon,
 )
+from oubstop.kernel import transformed_integrand
+from oubstop.transform import gain_t
 
 
 def test_survival_density_basics():

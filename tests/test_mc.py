@@ -37,7 +37,13 @@ def test_config_validation():
         MCConfig(paths=2000.0)
     with pytest.raises(ValueError):
         MCConfig(paths=10, workers=2.5)
+    # a negative or float seed would fail later, inside SeedSequence
+    with pytest.raises(ValueError, match="seed"):
+        MCConfig(paths=10, seed=-3)
+    with pytest.raises(ValueError, match="seed"):
+        MCConfig(paths=100, seed=1.5)
     assert MCConfig(paths=np.int64(10), workers=np.int32(2)).paths == 10
+    assert MCConfig(paths=10, seed=np.int64(0)).seed == 0
 
 
 def test_determinism_same_seed(std_params, std_solution):

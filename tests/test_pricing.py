@@ -6,20 +6,22 @@ from oubstop import (
     SolverConfig,
     ValueSurfaceQuery,
     boundary_eval,
-    gain,
     make_context,
     original_to_transformed,
     picard_solve,
-    transformed_value,
     upsilon,
     value,
 )
-from oubstop.pricing import _boundary_transformed
+from oubstop.pricing import _boundary_transformed, transformed_value
+from oubstop.transform import gain
 
 
 def test_query_validation():
     with pytest.raises(ValueError):
         ValueSurfaceQuery(t=1.0, x=0.0)
+    for x in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite x"):
+            ValueSurfaceQuery(t=0.2, x=x)
 
 
 def test_stopping_region_identity(std_params, std_solution):

@@ -29,8 +29,6 @@ PUBLIC_NAMES = [
     "drift_kernel",
     "envelope",
     "envelope_deriv",
-    "gain",
-    "gain_t",
     "kernel_oracle",
     "log_partition",
     "make_context",
@@ -41,10 +39,7 @@ PUBLIC_NAMES = [
     "simulate_stopped_payoff",
     "solve_boundary",
     "survival",
-    "transformed_integrand",
-    "transformed_value",
     "upsilon",
-    "upsilon_inv",
     "value",
 ]
 

@@ -179,6 +179,23 @@ def test_solve_boundary_falls_back_to_picard():
     assert np.array_equal(sol.beta, picard_solve(p, cfg).beta)
 
 
+def test_solve_boundary_failure_keeps_both_errors():
+    # where Picard fails too, the error names both solvers, is caused by
+    # backward induction's and carries Picard's last iterate
+    p = OUBParams(alpha=1.0, gamma=0.5, z=-5.0)
+    cfg = SolverConfig(n=120, max_iter=1)
+    with pytest.raises(ConvergenceError) as picard:
+        picard_solve(p, cfg)
+    with pytest.raises(ConvergenceError) as err:
+        solve_boundary(p, cfg)
+    assert "backward induction found no root at node 0" in str(err.value)
+    assert str(picard.value) in str(err.value)
+    assert isinstance(err.value.__cause__, ConvergenceError)
+    assert err.value.__cause__.solution.method == "backward"
+    assert err.value.solution.method == "picard"
+    assert np.array_equal(err.value.solution.beta, picard.value.solution.beta)
+
+
 def test_mesh_refinement_converges():
     p = OUBParams(alpha=1.0, gamma=1.0, z=0.0)
     sols = {n: picard_solve(p, SolverConfig(n=n)) for n in (10, 100, 500)}

@@ -7,14 +7,12 @@ from oubstop import (
     OUBParams,
     envelope,
     envelope_deriv,
-    gain,
-    gain_t,
     make_context,
     original_to_transformed,
     upsilon,
-    upsilon_inv,
 )
 from oubstop.transform import _kappa as kappa, _kappa_inv as kappa_inv
+from oubstop.transform import gain, gain_t, upsilon_inv
 
 
 def test_kappa_at_zero():
