@@ -19,7 +19,6 @@ from .kernel import (
     KernelQuery,
     density,
     drift_kernel,
-    survival,
 )
 from .mc import (
     MCConfig,
@@ -43,12 +42,10 @@ from .solver import (
     solve_boundary,
 )
 from .transform import (
-    TransformContext,
     envelope,
     envelope_deriv,
     make_context,
     original_to_transformed,
-    upsilon,
 )
 
 __version__ = "0.1.0"

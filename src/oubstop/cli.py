@@ -87,10 +87,13 @@ def read_boundary_csv(path: str):
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--n", type=int, default=500, help="mesh size N")
-    common.add_argument("--max-iter", type=int, default=2000,
-                      help="Picard sweeps, where backward induction "
-                      "falls back to Picard")
+    # None stands for SolverConfig's default (500 and 2000), so that verify
+    # can tell a given flag from an omitted one
+    common.add_argument("--n", type=int, default=None,
+                        help="mesh size N (default 500)")
+    common.add_argument("--max-iter", type=int, default=None,
+                        help="Picard sweeps, where backward induction "
+                        "falls back to Picard (default 2000)")
     common.add_argument("--out", type=str, default=None)
     problem = argparse.ArgumentParser(add_help=False)
     problem.add_argument("--alpha", type=float, default=1.0)
@@ -123,17 +126,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _problem(args: argparse.Namespace) -> tuple[OUBParams, SolverConfig]:
-    """The problem and solver settings of solve, value and verify."""
-    return (OUBParams(alpha=args.alpha, gamma=args.gamma, z=args.z,
-                      theta=args.theta, horizon=args.horizon),
-            SolverConfig(n=args.n, max_iter=args.max_iter))
+def _params(args: argparse.Namespace) -> OUBParams:
+    """The problem of solve, value and verify."""
+    return OUBParams(alpha=args.alpha, gamma=args.gamma, z=args.z,
+                     theta=args.theta, horizon=args.horizon)
+
+
+def _solver_config(args: argparse.Namespace) -> SolverConfig:
+    """SolverConfig from --n and --max-iter, its defaults where omitted."""
+    given = {k: getattr(args, k) for k in ("n", "max_iter")
+             if getattr(args, k) is not None}
+    return SolverConfig(**given)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    params, cfg = _problem(args)
+    params = _params(args)
     try:
-        sol = solve_boundary(params, cfg)
+        sol = solve_boundary(params, _solver_config(args))
     except ConvergenceError as err:
         if args.out is not None:
             partial = SolvedBoundary(reduction=reduce_to_canonical(params),
@@ -166,7 +175,7 @@ def _parse_grid(arg: str):
 
 
 def cmd_value(args: argparse.Namespace) -> int:
-    params, cfg = _problem(args)
+    params, cfg = _params(args), _solver_config(args)
     if args.grid is not None and (args.t, args.x) == (None, None):
         ts, xs = _parse_grid(args.grid)
         pts = [(t, x) for t in ts for x in xs]
@@ -230,10 +239,7 @@ def _verify_checks(params: OUBParams, sol: BoundarySolution, mc: MCConfig):
     # Transformed-coordinate lower bound at the initial node: below
     # c_z*(f - s f')/f' the gain strictly grows in time, so the true
     # boundary cannot start there. The margin equals
-    # (beta(0) - z/cosh(alpha))/scale. The true boundary stays above the
-    # bound at every node, not only at t = 0, so a discrete solution that
-    # crosses it later is just as wrong (a strong pull towards a far-away
-    # level that the mesh does not resolve); this row does not see that.
+    # (beta(0) - z/cosh(alpha))/scale; drift_sign_bound checks every node.
     ctx = make_context(params)
     s0, b0 = original_to_transformed(ctx, 0.0, float(sol.beta[0]))
     f0 = envelope(ctx.alpha, s0)
@@ -241,15 +247,28 @@ def _verify_checks(params: OUBParams, sol: BoundarySolution, mc: MCConfig):
     margin = float(b0 - ctx.c_z * (f0 - s0 * fp0) / fp0)
     yield ("boundary_lower_bound", margin, 0.0, margin > 0.0)
 
+    # The drift is > 0 below z/cosh(alpha(1-t)), where waiting pays, so the
+    # true boundary stays above that bound at every t. A discrete boundary
+    # that crosses it at some node is wrong there: the mesh does not
+    # resolve a strong pull towards a far-away pin. The margin of nodes
+    # 0..N-2 is in units of the node's step scale gamma*sqrt(t_{i+1} - t_i).
+    t = sol.grid.nodes[:-1]
+    gap = sol.beta[:-2] - z / np.cosh(params.alpha * (1.0 - t[:-1]))
+    margin = float(np.min(gap / (gamma * np.sqrt(np.diff(t)))))
+    yield ("drift_sign_bound", margin, 0.0, margin > 0.0)
+
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    params, cfg = _problem(args)
+    params = _params(args)
     threads = os.environ.get("OUBSTOP_THREADS", "1").strip()
     if not threads.isdecimal() or int(threads) < 1:
         raise ValueError(f"OUBSTOP_THREADS must be an integer >= 1, got {threads!r}")
     mc = MCConfig(paths=args.paths, seed=args.seed, workers=int(threads))
     red = reduce_to_canonical(params)
     if args.boundary is not None:
+        if (args.n, args.max_iter) != (None, None):
+            raise ValueError("--n and --max-iter do not apply with "
+                             "--boundary, which is verified as read")
         t, b = read_boundary_csv(args.boundary)
         nodes = np.asarray(red.to_canonical_time(t), dtype=float)
         if abs(nodes[-1] - 1.0) > 1e-12:
@@ -262,7 +281,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             beta=np.asarray(red.to_canonical_space(b), dtype=float),
             iterations=0, final_residual=math.nan, method="file")
     else:
-        sol = solve_boundary(params, cfg).canonical
+        sol = solve_boundary(params, _solver_config(args)).canonical
 
     lines = ["check,statistic,threshold,result"]
     failed = False
@@ -275,7 +294,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_figures(args: argparse.Namespace) -> int:
-    base = SolverConfig(n=args.n, max_iter=args.max_iter)
+    base = _solver_config(args)
     outdir = Path(args.out if args.out is not None else "figures")
     outdir.mkdir(parents=True, exist_ok=True)
     solved: dict = {}

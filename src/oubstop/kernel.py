@@ -5,12 +5,10 @@ restricted to the region above the threshold x2, conditional on X_{t1} = x1:
 
     K = alpha * (z*S - cosh(a(1-t2)) * (m*S + v*p)) / sinh(a(1-t2)),
 
-where m, v are the conditional mean/std of X_{t2}, u = (x2 - m)/v, and
-S = survival(u), p = density(u). It is evaluated for t1 < t2 < 1 only: it
-is undefined at t2 = 1, and no Riemann row of the pricing equations has
-t2 = t1, so there is no continuity extension there. The transformed-space
-integrand plays the same role for the Brownian-motion formulation and is
-kept only as a verification mirror.
+where m, v are the conditional mean/std of X_{t2}, u = (x2 - m)/v,
+S = 1 - Phi(u) is the normal upper tail and p = density(u). It is evaluated
+for t1 < t2 < 1 only: it is undefined at t2 = 1, and no Riemann row of the
+pricing equations has t2 = t1, so there is no continuity extension there.
 """
 from __future__ import annotations
 
@@ -25,29 +23,16 @@ from .bridge import OUBParams, _require_canonical
 # benchmark runs still wrap these two names in this module
 # (perfbench/workloads.py CALL_SITES), so they stay importable from it.
 from .bridge import cond_mean, cond_std  # noqa: F401
-from .transform import TransformContext, envelope
 
 __all__ = [
     "KernelQuery",
     "KernelTable",
-    "survival",
     "density",
     "drift_kernel",
-    "transformed_integrand",
 ]
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-def survival(u):
-    """Upper tail probability of a standard normal, 1 - Phi(u).
-
-    Uses the complementary error function, so relative accuracy is kept far
-    into the right tail (survival(40) is a subnormal, not 0).
-    """
-    out = 0.5 * erfc(np.asarray(u, dtype=float) * _INV_SQRT2)
-    return out if out.ndim else float(out)
 
 
 def density(u):
@@ -149,28 +134,3 @@ def drift_kernel(params: OUBParams, t1, x1, t2, x2, table=None):
     out = KernelTable(params, t1, t2).evaluate(x1, x2).reshape(shape)
     return out if out.ndim else float(out)
 
-
-def transformed_integrand(ctx: TransformContext, s, y, u, b_u):
-    """Integrand of the transformed pricing formula at clock time u > s:
-
-    (c*S - (a + 2u) * ((y + c*u)*S + sqrt(u - s)*p) / (2 f(u)^2)) / f(u)
-
-    with c = c_z, f = envelope, and S, p the survival/density of the
-    standardised threshold (b(u) - y) / sqrt(u - s).
-    """
-    s = np.asarray(s, dtype=float)
-    y = np.asarray(y, dtype=float)
-    u = np.asarray(u, dtype=float)
-    b_u = np.asarray(b_u, dtype=float)
-    if np.any(u <= s):
-        raise ValueError("transformed integrand requires u > s")
-    sd = np.sqrt(u - s)
-    std = (b_u - y) / sd
-    surv = survival(std)
-    dens = density(std)
-    f = envelope(ctx.alpha, u)
-    c = ctx.c_z
-    out = (c * surv - (ctx.a + 2.0 * u)
-           * ((y + c * u) * surv + sd * dens) / (2.0 * f * f)) / f
-    out = np.asarray(out)
-    return out if out.ndim else float(out)

@@ -103,8 +103,8 @@ def log_partition(n: int) -> TimeGrid:
 class SolverConfig:
     """Solver knobs; defaults follow the reference setup (N = 500,
     logarithmic mesh). backward_solve reads n only: eps (1e-4) is
-    picard_solve's tolerance and max_iter caps its sweeps (up to ~650 over
-    the documented envelope at N <= 500)."""
+    picard_solve's tolerance and max_iter caps its sweeps (up to 799 over
+    the documented envelope at N = 500)."""
 
     n: int = 500
     eps: float = 1e-4
@@ -198,8 +198,9 @@ def picard_solve(params: OUBParams, cfg: SolverConfig = SolverConfig()) -> Bound
     Starts from the constant boundary z and stops at the first iteration
     whose sup-norm change is below cfg.eps. Raises ConvergenceError (with
     the last iterate attached) if max_iter is exhausted. The sweep count
-    depends on the problem: 15 at alpha = gamma = 1, z = 0, but 205-225 at
-    z = -5 with alpha = 5 or gamma = 0.5 (N = 500).
+    depends on the problem (N = 500): 15 at alpha = gamma = 1, z = 0;
+    225 at alpha = 5, gamma = 1, z = -5 and 205 at alpha = 1, gamma = 0.5,
+    z = -5; 799 at alpha = 5, gamma = 0.5, z = -5.
     """
     _require_canonical(params)
     grid = cfg.build_grid()

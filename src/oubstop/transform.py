@@ -7,9 +7,9 @@ problem for a Brownian motion Y on [0, inf) with gain
     envelope(s) = sqrt((e^alpha + s) * (e^-alpha + s)),
 
 under the strictly increasing clock s = upsilon(t) and the space scaling
-y = x / scale with scale = gamma * sqrt(sinh(alpha)/alpha). oubstop works in
-original coordinates; this module serves only verify's lower-bound check and
-the transformed mirror of the value (pricing.transformed_value).
+y = x / scale with scale = gamma * sqrt(sinh(alpha)/alpha). oubstop solves
+and prices in original coordinates; this module maps boundary points
+forward into transformed coordinates for verify's initial-node lower bound.
 
 Everywhere the constant `scale` replaces the ratio z / c_z: the two agree
 when z != 0, but the ratio is 0/0 at z = 0 while the map itself is regular.
@@ -27,11 +27,8 @@ __all__ = [
     "TransformContext",
     "make_context",
     "upsilon",
-    "upsilon_inv",
     "envelope",
     "envelope_deriv",
-    "gain",
-    "gain_t",
     "original_to_transformed",
 ]
 
@@ -40,13 +37,12 @@ __all__ = [
 class TransformContext:
     """Precomputed constants of the bridge <-> Brownian-motion equivalence.
 
-    c_z = z / scale is the gain parameter; a = e^alpha + e^-alpha enters the
-    envelope derivative; scale > 0 always, and c_z = 0 iff z = 0.
+    c_z = z / scale is the gain parameter; scale > 0 always, and c_z = 0
+    iff z = 0.
     """
 
     alpha: float
     c_z: float
-    a: float
     scale: float
 
 
@@ -56,26 +52,13 @@ def make_context(params: OUBParams) -> TransformContext:
     # kappa(1) * e^alpha == sinh(alpha)/alpha, even in alpha and stable for
     # small |alpha|.
     scale = params.gamma * math.sqrt(math.sinh(a) / a)
-    return TransformContext(
-        alpha=a,
-        c_z=params.z / scale,
-        a=math.exp(a) + math.exp(-a),
-        scale=scale,
-    )
+    return TransformContext(alpha=a, c_z=params.z / scale, scale=scale)
 
 
 def _kappa(alpha: float, t):
     """kappa(t) = (1 - e^{-2 alpha t}) / (2 alpha)."""
     t = np.asarray(t, dtype=float)
     out = -np.expm1(-2.0 * alpha * t) / (2.0 * alpha)
-    return out if out.ndim else float(out)
-
-
-def _kappa_inv(alpha: float, s):
-    """Inverse of kappa: -ln(1 - 2 alpha s) / (2 alpha), for s < kappa(1)
-    (always so from upsilon_inv, its only caller)."""
-    s = np.asarray(s, dtype=float)
-    out = -np.log1p(-2.0 * alpha * s) / (2.0 * alpha)
     return out if out.ndim else float(out)
 
 
@@ -97,15 +80,6 @@ def upsilon(alpha: float, t):
     return out if out.ndim else float(out)
 
 
-def upsilon_inv(alpha: float, s):
-    """Inverse clock: t with upsilon(t) = s, for s >= 0."""
-    s = np.asarray(s, dtype=float)
-    if np.any(s < 0.0):
-        raise ValueError("upsilon_inv requires s >= 0")
-    k1 = _kappa(alpha, 1.0)
-    return _kappa_inv(alpha, s * k1 / (s + math.exp(-alpha)))
-
-
 def envelope(alpha: float, s):
     """Normalising envelope of the transformed gain:
     sqrt((e^alpha + s)(e^-alpha + s)). Satisfies envelope(0) = 1,
@@ -120,25 +94,6 @@ def envelope_deriv(alpha: float, s):
     s = np.asarray(s, dtype=float)
     a = math.exp(alpha) + math.exp(-alpha)
     out = (a + 2.0 * s) / (2.0 * envelope(alpha, s))
-    return out if out.ndim else float(out)
-
-
-def gain(c: float, alpha: float, s, y):
-    """Transformed gain G_c(s, y) = (c s + y) / envelope(s)."""
-    s = np.asarray(s, dtype=float)
-    y = np.asarray(y, dtype=float)
-    out = (c * s + y) / envelope(alpha, s)
-    return out if out.ndim else float(out)
-
-
-def gain_t(c: float, alpha: float, s, y):
-    """Time partial of the gain:
-    (c (f - s f') - f' y) / f^2 with f = envelope, f' = envelope_deriv."""
-    s = np.asarray(s, dtype=float)
-    y = np.asarray(y, dtype=float)
-    f = envelope(alpha, s)
-    fp = envelope_deriv(alpha, s)
-    out = (c * (f - s * fp) - fp * y) / (f * f)
     return out if out.ndim else float(out)
 
 

@@ -83,8 +83,8 @@ def test_verify_accepts_general_horizon_boundary(tmp_path):
     assert run_cli("solve", "--n", "120", "--horizon", "2",
                    "--out", str(src)) == 0
     report = tmp_path / "r.csv"
-    code = run_cli("verify", "--n", "120", "--horizon", "2", "--paths",
-                   "20000", "--boundary", str(src), "--out", str(report))
+    code = run_cli("verify", "--horizon", "2", "--paths", "20000",
+                   "--boundary", str(src), "--out", str(report))
     assert code == 0
 
 
@@ -182,7 +182,8 @@ def test_verify_passes_and_is_deterministic(tmp_path):
     names = {r.split(",")[0] for r in rows[1:]}
     assert names == {"terminal_pinning", "kernel_vs_quadrature",
                      "mc_value_consistency", "perturbation_up",
-                     "perturbation_down", "boundary_lower_bound"}
+                     "perturbation_down", "boundary_lower_bound",
+                     "drift_sign_bound"}
     assert all(r.endswith("pass") for r in rows[1:])
 
 
@@ -227,6 +228,36 @@ def test_verify_lower_bound_away_from_zero_pin(alpha, gamma, z, tmp_path):
     assert result == "pass" and float(margin) > 0.0
 
 
+@pytest.mark.parametrize("alpha,z,passes", [(1.0, 0.0, True),
+                                            (5.0, -5.0, False)])
+def test_verify_drift_sign_bound_checks_every_node(alpha, z, passes,
+                                                   tmp_path):
+    # at (5, 1, -5) N=500 resolves the strong pull badly: the boundary
+    # crosses z/cosh(alpha(1-t)) at 240 nodes (margin about -7.04) while
+    # the t=0 row passes; at (1, 1, 0) the margin is about 0.391
+    out = tmp_path / "r.csv"
+    run_cli("verify", "--alpha", str(alpha), "--z", str(z), "--n", "500",
+            "--paths", "2000", "--out", str(out))
+    rows = {r.split(",")[0]: r.split(",")[1:]
+            for r in out.read_text().strip().splitlines()[1:]}
+    assert rows["boundary_lower_bound"][2] == "pass"
+    margin, threshold, result = rows["drift_sign_bound"]
+    assert threshold == "0"
+    assert result == ("pass" if passes else "fail")
+    assert (float(margin) > 0.0) == passes
+
+
+@pytest.mark.parametrize("flag", [("--n", "1"), ("--max-iter", "7")])
+def test_verify_boundary_rejects_solver_flags(flag, tmp_path, capsys):
+    # a boundary file is verified as read, never solved
+    src = tmp_path / "b.csv"
+    assert run_cli("solve", "--n", "50", "--out", str(src)) == 0
+    capsys.readouterr()
+    assert run_cli("verify", "--boundary", str(src), *flag) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "--boundary" in err
+
+
 def test_verify_detects_tampered_boundary(tmp_path):
     src = tmp_path / "b.csv"
     assert run_cli("solve", "--n", "150", "--out", str(src)) == 0
@@ -236,7 +267,7 @@ def test_verify_detects_tampered_boundary(tmp_path):
                          for ti, bi in zip(t, beta)]
     tampered.write_text("\n".join(rows) + "\n")
     report = tmp_path / "report.csv"
-    code = run_cli("verify", "--n", "150", "--paths", "20000",
+    code = run_cli("verify", "--paths", "20000",
                    "--boundary", str(tampered), "--out", str(report))
     assert code == 1
     failing = [r for r in report.read_text().strip().splitlines()
@@ -245,9 +276,8 @@ def test_verify_detects_tampered_boundary(tmp_path):
 
 
 def test_verify_flags_degenerate_regime(tmp_path):
-    # a strong pull towards a far-away pinning level admits a spurious
-    # solution of the discretised boundary equation; the perturbation and
-    # lower-bound checks must catch it
+    # the default mesh does not resolve a strong pull towards a far-away
+    # pinning level; the perturbation and lower-bound checks must catch it
     report = tmp_path / "r.csv"
     code = run_cli("verify", "--alpha", "3", "--gamma", "0.25", "--z", "-10",
                    "--n", "100", "--paths", "10000", "--out", str(report))

@@ -15,11 +15,10 @@ from oubstop import (
     kernel_oracle,
     make_context,
     original_to_transformed,
-    survival,
-    upsilon,
 )
-from oubstop.kernel import transformed_integrand
-from oubstop.transform import gain_t
+from oubstop.transform import upsilon
+
+from mirror import gain_t, survival, transformed_integrand
 
 
 def test_survival_density_basics():
@@ -130,8 +129,8 @@ def test_transformed_integrand_threshold_limits():
     assert transformed_integrand(ctx, s, y, u, 1e6) == pytest.approx(0.0,
                                                                      abs=1e-300)
     f = math.sqrt((math.e + u) * (1.0 / math.e + u))
-    expected = (ctx.c_z - (ctx.a + 2.0 * u) * (y + ctx.c_z * u)
-                / (2.0 * f * f)) / f
+    expected = (ctx.c_z - (math.e + 1.0 / math.e + 2.0 * u)
+                * (y + ctx.c_z * u) / (2.0 * f * f)) / f
     assert transformed_integrand(ctx, s, y, u, -1e6) == pytest.approx(
         expected, rel=1e-12)
 

@@ -9,11 +9,11 @@ from oubstop import (
     make_context,
     original_to_transformed,
     picard_solve,
-    upsilon,
     value,
 )
-from oubstop.pricing import _boundary_transformed, transformed_value
-from oubstop.transform import gain
+from oubstop.transform import upsilon
+
+from mirror import _boundary_transformed, gain, transformed_value
 
 
 def test_query_validation():
