@@ -94,6 +94,15 @@ class KernelTable:
         self.cm = 0.5 * aa * np.cosh(rem) / sinh_rem
         self.cv = 2.0 * _INV_SQRT_2PI * self.cm * v
 
+    def __getitem__(self, pairs: slice) -> KernelTable:
+        """The table over a contiguous run of the time pairs: it holds views
+        of the coefficient arrays and validates nothing anew."""
+        out = object.__new__(KernelTable)
+        out.params = self.params
+        for name in self.__slots__[1:]:
+            setattr(out, name, getattr(self, name)[pairs])
+        return out
+
     def evaluate(self, x1, x2) -> np.ndarray:
         """K at (x1, x2), broadcast against the table's time pairs."""
         # the class formula, in place: every line below rewrites m, w or out
@@ -122,7 +131,8 @@ def drift_kernel(params: OUBParams, t1, x1, t2, x2, table=None):
     array table.evaluate(x1, x2).
     """
     if table is not None:
-        if t1 is not None or t2 is not None or table.params != params:
+        if (t1 is not None or t2 is not None
+                or (table.params is not params and table.params != params)):
             raise ValueError("with a table, pass t1 = t2 = None and the "
                              "params it was built for")
         return table.evaluate(x1, x2)

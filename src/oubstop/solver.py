@@ -91,8 +91,8 @@ def log_partition(n: int) -> TimeGrid:
     Spacing decreases smoothly towards the horizon, where the boundary is
     steep; t_N is forced to 1.0 to absorb rounding.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
+    if not isinstance(n, (int, np.integer)) or n < 2:
+        raise ValueError("n must be an integer >= 2")
     i = np.arange(n + 1, dtype=float)
     t = np.log1p(i * (math.e - 1.0) / n)
     t[-1] = 1.0
@@ -111,12 +111,12 @@ class SolverConfig:
     max_iter: int = 2000
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError("n must be >= 2")
-        if not (self.eps > 0.0):
-            raise ValueError("eps must be > 0")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        for name, low in (("n", 2), ("max_iter", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}")
+        if not (0.0 < self.eps < math.inf):
+            raise ValueError("eps must be finite and > 0")
 
     def build_grid(self) -> TimeGrid:
         return log_partition(self.n)
@@ -156,39 +156,42 @@ def boundary_eval(sol: BoundarySolution, t):
 
 def _riemann_rows(params: OUBParams, nodes: np.ndarray, starts):
     """The right Riemann sum of integral_s^1 K(s, ., u, .) du on the grid
-    nodes, for each start s in starts (0 <= s < 1), as flat arrays
-    (row, j, w) and the KernelTable of their time pairs (s, t_j).
+    nodes, for each start s in starts (0 <= s < 1), as row offsets head,
+    flat arrays (j, w) and the KernelTable of their time pairs (s, t_j).
 
-    Row r (the index of its start) sums w * K(s, ., t_j, .) over the right
-    endpoints t_j in (s, t_{N-1}], where w is the width from t_j back to the
-    previous endpoint, or back to s itself for the first one. The addend
-    ending at t_N = 1 is dropped: the kernel is undefined there. Picard,
-    backward induction and pricing.value all take their quadrature and
-    kernel table from here.
+    Row r sums w * K(s, ., t_j, .) over the right endpoints t_j in
+    (s, t_{N-1}], where w is the width from t_j back to the previous
+    endpoint, or back to s itself for the first one; its entries are
+    head[r]..head[r+1]-1 (the last row's run to the end). The addend ending
+    at t_N = 1 is dropped: the kernel is undefined there. A start at or
+    past t_{N-1} has an empty row, so np.add.reduceat, which returns the
+    entry at the offset for an empty run, needs starts before t_{N-1}.
+    Picard, backward induction and pricing.value all take their quadrature
+    and kernel table from here.
     """
     starts = np.atleast_1d(np.asarray(starts, dtype=float))
     first = np.searchsorted(nodes, starts, side="right")
     counts = np.maximum(nodes.size - 1 - first, 0)  # endpoints first..N-1
-    row = np.repeat(np.arange(starts.size), counts)
-    head = np.cumsum(counts) - counts  # flat index of each row's first entry
-    j = np.arange(row.size)
+    head = np.cumsum(counts) - counts
+    j = np.arange(counts.sum())
     j += np.repeat(first - head, counts)
     w = np.diff(nodes)[j - 1]
     live = counts > 0
     w[head[live]] = nodes[first[live]] - starts[live]
-    return row, j, w, KernelTable(params, starts[row], nodes[j])
+    table = KernelTable(params, np.repeat(starts, counts), nodes[j])
+    return head, j, w, table
 
 
 def _picard_sweep(params: OUBParams, rows, beta: np.ndarray) -> np.ndarray:
     """One full-boundary update of the discretised Volterra equation on the
-    Riemann rows of the starts t_0..t_{N-2}."""
-    i, j, w, table = rows
-    k = drift_kernel(params, None, beta[i], None, beta[j], table=table)
+    Riemann rows (head, j, w, table) of the starts t_0..t_{N-2}, each of
+    them non-empty."""
+    head, j, w, table = rows
+    x1 = np.repeat(beta[:head.size], np.diff(head, append=j.size))
+    k = drift_kernel(params, None, x1, None, beta[j], table=table)
     k *= w
-    sums = np.bincount(i, weights=k, minlength=beta.size - 1)
-    new = np.empty_like(beta)
-    new[:-1] = params.z - sums
-    new[-1] = params.z
+    new = np.full_like(beta, params.z)
+    new[:head.size] -= np.add.reduceat(k, head)
     return new
 
 
@@ -224,6 +227,11 @@ def picard_solve(params: OUBParams, cfg: SolverConfig = SolverConfig()) -> Bound
 # Steps (kernel rows) per node in backward_solve; over the 27-case envelope
 # at N = 10-500 no node takes more than 11.
 _MAX_NODE_STEPS = 40
+# Table entries per block of nodes whose Riemann rows backward_solve builds
+# at once: blocks cut the setup per node, and a budget, not a node count,
+# keeps the block's arrays small at large N (64 nodes at N = 2000 raised
+# peak memory by a seventh).
+_BLOCK_ENTRIES = 2 ** 15
 
 
 def _node_root(h, b0: float, step: float, width: float, tol: float):
@@ -275,7 +283,10 @@ def backward_solve(params: OUBParams, cfg: SolverConfig = SolverConfig()) -> Bou
     the envelope at N >= 120 smooth boundaries move by less than half
     that), to |h| < 1e-9*max(1, gamma), its first step the last node's move.
     _MAX_NODE_STEPS caps the steps (kernel rows) per node; iterations
-    counts them. Of cfg it reads n only. At far pins h can stay just below
+    counts them. The Riemann rows (head, j, w, table) of a block of
+    consecutive nodes, up to _BLOCK_ENTRIES entries, are built at once;
+    its nodes are then solved one at a time, from the last, each on slices
+    of them. Of cfg it reads n only. At far pins h can stay just below
     zero near the boundary, its nearest root far off. A node with no root
     in its window, or out of steps, raises ConvergenceError (with the
     partial solution) instead.
@@ -287,25 +298,31 @@ def backward_solve(params: OUBParams, cfg: SolverConfig = SolverConfig()) -> Bou
     beta = np.full(n + 1, z, dtype=float)
     step = params.gamma * math.sqrt(t[n - 1] - t[n - 2])
     total, worst = 0, 0.0
-    for i in range(n - 2, -1, -1):
-        _, j, w, table = _riemann_rows(params, t, t[i])
-        x2 = beta[j]
+    block = max(1, _BLOCK_ENTRIES // n)
+    for top in range(n - 2, -1, -block):
+        low = max(top - block + 1, 0)
+        head, j, w, table = _riemann_rows(params, t, t[low:top + 1])
+        ends = np.append(head[1:], j.size)
+        for i in range(top, low - 1, -1):
+            row = slice(head[i - low], ends[i - low])
+            x2, wi, ti = beta[j[row]], w[row], table[row]
 
-        def h(b: float) -> float:
-            k = drift_kernel(params, None, b, None, x2, table=table)
-            return b - z + float(np.dot(k, w))
+            def h(b: float) -> float:
+                k = drift_kernel(params, None, b, None, x2, table=ti)
+                return b - z + float(np.dot(k, wi))
 
-        width = 2.0 * params.gamma * math.sqrt(t[i + 1] - t[i])
-        b, hb, steps, error = _node_root(h, beta[i + 1], step, width, tol)
-        total += steps
-        worst = max(worst, abs(hb))
-        if error is not None:
-            sol = BoundarySolution(grid=grid, beta=beta, iterations=total,
-                                   final_residual=worst, method="backward")
-            raise ConvergenceError(f"backward induction found no root at "
-                                   f"node {i}: {error}", sol)
-        beta[i] = b
-        step = max(abs(b - beta[i + 1]), tol)
+            width = 2.0 * params.gamma * math.sqrt(t[i + 1] - t[i])
+            b, hb, steps, error = _node_root(h, beta[i + 1], step, width, tol)
+            total += steps
+            worst = max(worst, abs(hb))
+            if error is not None:
+                sol = BoundarySolution(grid=grid, beta=beta, iterations=total,
+                                       final_residual=worst,
+                                       method="backward")
+                raise ConvergenceError(f"backward induction found no root "
+                                       f"at node {i}: {error}", sol)
+            beta[i] = b
+            step = max(abs(b - beta[i + 1]), tol)
 
     return BoundarySolution(grid=grid, beta=beta, iterations=total,
                             final_residual=worst, method="backward")

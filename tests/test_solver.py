@@ -54,6 +54,15 @@ def test_solver_config_validation():
         SolverConfig(eps=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
+    # a fractional n gave a half-width last cell, a fractional max_iter a
+    # TypeError from the Picard fallback, eps = inf a first sweep taken as
+    # converged
+    for field, bad in (("n", 500.5), ("max_iter", 2.5), ("eps", math.inf)):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            SolverConfig(**{field: bad})
+    with pytest.raises(ValueError, match="^n must be an integer"):
+        log_partition(2.5)
+    assert SolverConfig(n=np.int64(60)).build_grid().n == 60
 
 
 def test_picard_terminal_pinning():
@@ -291,6 +300,32 @@ def test_solve_boundary_method_choice():
     assert np.array_equal(sb.canonical.beta, backward_solve(p, cfg).beta)
     with pytest.raises(TypeError):
         solve_boundary(p, cfg, method="backward")
+
+
+def _backward_outcomes():
+    out = []
+    for alpha, gamma, z, n in itertools.product(
+            (0.01, 1.0, 5.0), (0.5, 1.0, 2.0), (-5.0, 0.0, 5.0), (120, 200)):
+        try:
+            sol, msg = backward_solve(OUBParams(alpha=alpha, gamma=gamma,
+                                                z=z), SolverConfig(n=n)), None
+        except ConvergenceError as err:
+            sol, msg = err.solution, str(err)
+        out.append((sol.beta, sol.iterations, sol.final_residual, msg))
+    return out
+
+
+def test_backward_block_size_changes_nothing(monkeypatch):
+    # the nodes share their Riemann rows block by block; how many a block
+    # holds changes no bit of the boundary, the counts or the errors
+    default = _backward_outcomes()
+    assert any(msg is not None for *_, msg in default)
+    for entries in (1, 10 ** 9):  # one node per block, one block
+        monkeypatch.setattr(solver, "_BLOCK_ENTRIES", entries)
+        for (b0, k0, r0, m0), (b, k, r, m) in zip(default,
+                                                  _backward_outcomes()):
+            assert np.array_equal(b, b0)
+            assert (k, r, m) == (k0, r0, m0)
 
 
 @pytest.mark.parametrize("alpha", (0.01, 1.0, 5.0))
