@@ -44,7 +44,8 @@ def density(u):
 
 @dataclass(frozen=True)
 class KernelQuery:
-    """Arguments of a kernel evaluation, 0 <= t1 < t2 < 1."""
+    """Arguments of a kernel evaluation, 0 <= t1 < t2 < 1, x1 and x2
+    finite."""
 
     t1: float
     x1: float
@@ -54,6 +55,8 @@ class KernelQuery:
     def __post_init__(self) -> None:
         if not (0.0 <= self.t1 < self.t2 < 1.0):
             raise ValueError("kernel query requires 0 <= t1 < t2 < 1")
+        if not (np.isfinite(self.x1) and np.isfinite(self.x2)):
+            raise ValueError("kernel query requires finite x1 and x2")
 
 
 class KernelTable:

@@ -42,6 +42,11 @@ def test_kernel_query_validation():
     with pytest.raises(ValueError):
         KernelQuery(t1=0.0, x1=0.0, t2=1.0, x2=0.0)
     KernelQuery(t1=0.2, x1=0.0, t2=0.3, x2=1.0)
+    # a non-finite x1 or x2 had the oracle return nan, or -0.0 at x1 = inf
+    for x1, x2 in ((math.inf, 0.0), (0.0, math.nan), (math.nan, 0.0),
+                   (0.0, -math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            KernelQuery(t1=0.2, x1=x1, t2=0.3, x2=x2)
 
 
 def test_kernel_indicator_saturation(std_params):

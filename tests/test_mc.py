@@ -200,6 +200,25 @@ def test_crossing_time_law(d0, d1, var):
         <= 4.0 * math.sqrt(below * (1.0 - below) / n)
 
 
+def test_non_finite_start_is_refused(std_params, std_solution):
+    # a nan x0 gave a nan mean; both entry points go through
+    # perturbation_test
+    cfg = MCConfig(paths=100)
+    for x0 in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="x0"):
+            simulate_stopped_payoff(std_params, std_solution, 0.0, x0, cfg)
+        with pytest.raises(ValueError, match="x0"):
+            perturbation_test(std_params, std_solution, [0.25], 0.0, x0, cfg)
+
+
+def test_nan_delta_is_refused(std_params, std_solution):
+    # a nan delta compared false with every path and so stopped at once,
+    # paying x0 and reading as a decisive suboptimality
+    with pytest.raises(ValueError, match="nan"):
+        perturbation_test(std_params, std_solution, [0.25, math.nan],
+                          0.0, 0.0, MCConfig(paths=100))
+
+
 def test_estimate_standard_error_definition(std_params, std_solution):
     from oubstop.mc import _run_payoffs
     cfg = MCConfig(paths=10_000, seed=29)
@@ -219,6 +238,37 @@ def test_kernel_oracle_saturation_limits(std_params):
                                         x2=m + 40.0 * v)) == 0.0
     lo = kernel_oracle(p, KernelQuery(t1=t1, x1=x1, t2=t2, x2=m - 40.0 * v))
     assert lo == pytest.approx(drift(p, t2, m), abs=1e-10)
+
+
+def test_kernel_oracle_matches_adaptive_quadrature():
+    # the fixed Gauss-Legendre panels against scipy's adaptive quad on the
+    # same integral, over the envelope, deep into both tails and close to
+    # the horizon
+    from scipy.integrate import quad
+    from oubstop.kernel import density
+
+    rng = np.random.default_rng(41)
+    worst = 0.0
+    for alpha in (1e-4, 0.5, -2.5, 5.0):
+        for _ in range(60):
+            p = OUBParams(alpha=alpha, gamma=rng.uniform(0.25, 2.0),
+                          z=rng.uniform(-10.0, 10.0))
+            t1 = rng.uniform(0.0, 0.95)
+            t2 = rng.uniform(t1 + 1e-4, 0.999)
+            x1 = p.z + p.gamma * rng.uniform(-3.0, 3.0)
+            m = cond_mean(p, t1, x1, t2)
+            v = cond_std(p, t1, t2)
+            x2 = m + v * rng.uniform(-40.0, 15.0)
+            k = kernel_oracle(p, KernelQuery(t1=t1, x1=x1, t2=t2, x2=x2))
+            hi = m + 12.0 * v
+            ref = 0.0
+            if x2 < hi:
+                inner = [c for c in (m - 4.0 * v, m, m + 4.0 * v) if x2 < c]
+                ref = quad(lambda w: drift(p, t2, w) * density((w - m) / v)
+                           / v, x2, hi, epsabs=1e-14, epsrel=1e-12,
+                           limit=200, points=inner or None)[0]
+            worst = max(worst, abs(k - ref) / max(1.0, abs(ref)))
+    assert worst <= 1e-12
 
 
 def test_kernel_oracle_equal_times():
@@ -259,12 +309,15 @@ def test_paths_pinned_at_horizon(std_params):
 
 
 def test_import_leaves_quadrature_out():
-    # only the kernel oracle needs scipy.integrate; it imports it on use
+    # no code path of oubstop needs scipy.integrate: a whole verify run,
+    # kernel oracle included, loads none of it
     src = os.path.dirname(os.path.dirname(os.path.abspath(
         sys.modules["oubstop"].__file__)))
-    code = ("import sys, oubstop; "
-            "print(any(m.startswith('scipy.integrate') for m in sys.modules))")
+    code = ("import sys; from oubstop import cli; "
+            "code = cli.main(['verify', '--n', '60', '--paths', '2000']); "
+            "print(code, any(m.startswith('scipy.integrate') "
+            "for m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines()[-1] == "0 False"
