@@ -6,18 +6,18 @@ free-boundary integral equation exactly, node by node (by Picard iteration
 where no root lies near a node), evaluates the value function from the
 solved boundary, and verifies both against independent Monte Carlo and
 quadrature oracles.
+
+The primitives (drift, drift_kernel, boundary_eval, the transform maps)
+return a numpy float64 for scalar arguments and an array for arrays.
 """
 from .bridge import (
     CanonicalReduction,
     OUBParams,
-    cond_mean,
-    cond_std,
     drift,
     reduce_to_canonical,
 )
 from .kernel import (
     KernelQuery,
-    density,
     drift_kernel,
 )
 from .mc import (
@@ -37,7 +37,6 @@ from .solver import (
     TimeGrid,
     backward_solve,
     boundary_eval,
-    log_partition,
     picard_solve,
     solve_boundary,
 )

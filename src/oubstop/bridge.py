@@ -140,12 +140,11 @@ def drift(params: OUBParams, t, x):
     _require_canonical(params)
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
-    if np.any(t < 0.0) or np.any(t >= 1.0):
+    if not ((0.0 <= t) & (t < 1.0)).all():
         raise ValueError("drift requires 0 <= t < horizon")
     aa = abs(params.alpha)
     rem = aa * (1.0 - t)
-    out = aa * (params.z - np.cosh(rem) * x) / np.sinh(rem)
-    return out if out.ndim else float(out)
+    return aa * (params.z - np.cosh(rem) * x) / np.sinh(rem)
 
 
 def cond_mean(params: OUBParams, t1, x1, t2):
@@ -157,16 +156,13 @@ def cond_mean(params: OUBParams, t1, x1, t2):
     t1 = np.asarray(t1, dtype=float)
     x1 = np.asarray(x1, dtype=float)
     t2 = np.asarray(t2, dtype=float)
-    if np.any(t1 < 0.0) or np.any(t2 < t1) or np.any(t2 > 1.0):
-        raise ValueError("cond_mean requires 0 <= t1 <= t2 <= 1")
-    if np.any(t1 >= 1.0):
-        raise ValueError("t1 must be < 1")
+    if not ((0.0 <= t1) & (t1 < 1.0) & (t1 <= t2) & (t2 <= 1.0)).all():
+        raise ValueError("cond_mean requires 0 <= t1 <= t2 <= 1, t1 < 1")
     aa = abs(params.alpha)
     den = np.sinh(aa * (1.0 - t1))
     # each weight over den on its own: exactly 0 and 1 at t2 = 1, so z exactly
-    out = (x1 * (np.sinh(aa * (1.0 - t2)) / den)
-           + params.z * (np.sinh(aa * (t2 - t1)) / den))
-    return out if out.ndim else float(out)
+    return (x1 * (np.sinh(aa * (1.0 - t2)) / den)
+            + params.z * (np.sinh(aa * (t2 - t1)) / den))
 
 
 def cond_std(params: OUBParams, t1, t2):
@@ -178,12 +174,9 @@ def cond_std(params: OUBParams, t1, t2):
     _require_canonical(params)
     t1 = np.asarray(t1, dtype=float)
     t2 = np.asarray(t2, dtype=float)
-    if np.any(t1 < 0.0) or np.any(t2 < t1) or np.any(t2 > 1.0):
-        raise ValueError("cond_std requires 0 <= t1 <= t2 <= 1")
-    if np.any(t1 >= 1.0):
-        raise ValueError("t1 must be < 1")
+    if not ((0.0 <= t1) & (t1 < 1.0) & (t1 <= t2) & (t2 <= 1.0)).all():
+        raise ValueError("cond_std requires 0 <= t1 <= t2 <= 1, t1 < 1")
     aa = abs(params.alpha)
     var = (params.gamma ** 2 / aa) * np.sinh(aa * (1.0 - t2)) \
         * np.sinh(aa * (t2 - t1)) / np.sinh(aa * (1.0 - t1))
-    out = np.sqrt(var)
-    return out if out.ndim else float(out)
+    return np.sqrt(var)

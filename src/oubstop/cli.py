@@ -271,6 +271,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
                              "--boundary, which is verified as read")
         t, b = read_boundary_csv(args.boundary)
         nodes = np.asarray(red.to_canonical_time(t), dtype=float)
+        if nodes[0] != 0.0:
+            raise ValueError(f"{args.boundary}: first time {float(t[0])!r} "
+                             "is not 0")
         if abs(nodes[-1] - 1.0) > 1e-12:
             raise ValueError(f"{args.boundary}: last time {float(t[-1])!r} "
                              f"is not the horizon {params.horizon!r}")

@@ -38,8 +38,7 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 def density(u):
     """Standard normal density."""
     u = np.asarray(u, dtype=float)
-    out = np.exp(-0.5 * u * u) * _INV_SQRT_2PI
-    return out if out.ndim else float(out)
+    return np.exp(-0.5 * u * u) * _INV_SQRT_2PI
 
 
 @dataclass(frozen=True)
@@ -144,6 +143,5 @@ def drift_kernel(params: OUBParams, t1, x1, t2, x2, table=None):
     t2 = np.asarray(t2, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     shape = np.broadcast(t1, x1, t2, x2).shape
-    out = KernelTable(params, t1, t2).evaluate(x1, x2).reshape(shape)
-    return out if out.ndim else float(out)
+    return KernelTable(params, t1, t2).evaluate(x1, x2).reshape(shape)[()]
 

@@ -40,7 +40,6 @@ __all__ = [
     "BoundarySolution",
     "SolvedBoundary",
     "ConvergenceError",
-    "log_partition",
     "picard_solve",
     "backward_solve",
     "boundary_eval",
@@ -49,12 +48,12 @@ __all__ = [
 
 
 class ConvergenceError(RuntimeError):
-    """Picard iteration missed eps within max_iter sweeps, or backward
-    induction found no root at a node. .solution is the partial
-    BoundarySolution (iterations and final_residual describe the failed
-    run): Picard's last iterate, or the solved nodes, the others at z.
-    Where solve_boundary's Picard fallback fails too, the message names
-    both failures and .solution is Picard's.
+    """Picard iteration missed eps within max_iter sweeps or went
+    non-finite, or backward induction found no root at a node. .solution
+    is the partial BoundarySolution (iterations and final_residual
+    describe the failed run): Picard's last iterate, or the solved nodes,
+    the others at z. Where solve_boundary's Picard fallback fails too, the
+    message names both failures and .solution is Picard's.
     """
 
     def __init__(self, message: str, solution: BoundarySolution):
@@ -85,20 +84,6 @@ class TimeGrid:
         return self.nodes.size - 1
 
 
-def log_partition(n: int) -> TimeGrid:
-    """Logarithmically spaced partition t_i = ln(1 + i(e-1)/N).
-
-    Spacing decreases smoothly towards the horizon, where the boundary is
-    steep; t_N is forced to 1.0 to absorb rounding.
-    """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValueError("n must be an integer >= 2")
-    i = np.arange(n + 1, dtype=float)
-    t = np.log1p(i * (math.e - 1.0) / n)
-    t[-1] = 1.0
-    return TimeGrid(t)
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Solver knobs; defaults follow the reference setup (N = 500,
@@ -119,7 +104,15 @@ class SolverConfig:
             raise ValueError("eps must be finite and > 0")
 
     def build_grid(self) -> TimeGrid:
-        return log_partition(self.n)
+        """Logarithmically spaced partition t_i = ln(1 + i(e-1)/N).
+
+        Spacing decreases smoothly towards the horizon, where the boundary
+        is steep; t_N is forced to 1.0 to absorb rounding.
+        """
+        i = np.arange(self.n + 1, dtype=float)
+        t = np.log1p(i * (math.e - 1.0) / self.n)
+        t[-1] = 1.0
+        return TimeGrid(t)
 
 
 @dataclass(frozen=True)
@@ -148,10 +141,9 @@ def boundary_eval(sol: BoundarySolution, t):
     """Piecewise-linear boundary interpolation; exact at the grid nodes and
     equal to z at t = 1."""
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0) or np.any(t > 1.0):
+    if not ((0.0 <= t) & (t <= 1.0)).all():
         raise ValueError("boundary_eval requires t in [0, 1]")
-    out = np.interp(t, sol.grid.nodes, sol.beta)
-    return out if out.ndim else float(out)
+    return np.interp(t, sol.grid.nodes, sol.beta)
 
 
 def _riemann_rows(params: OUBParams, nodes: np.ndarray, starts):
@@ -200,7 +192,8 @@ def picard_solve(params: OUBParams, cfg: SolverConfig = SolverConfig()) -> Bound
 
     Starts from the constant boundary z and stops at the first iteration
     whose sup-norm change is below cfg.eps. Raises ConvergenceError (with
-    the last iterate attached) if max_iter is exhausted. The sweep count
+    the last iterate attached) if max_iter is exhausted, or at the first
+    sweep that gives a non-finite boundary. The sweep count
     depends on the problem (N = 500): 15 at alpha = gamma = 1, z = 0;
     225 at alpha = 5, gamma = 1, z = -5 and 205 at alpha = 1, gamma = 0.5,
     z = -5; 799 at alpha = 5, gamma = 0.5, z = -5.
@@ -213,11 +206,14 @@ def picard_solve(params: OUBParams, cfg: SolverConfig = SolverConfig()) -> Bound
         new = _picard_sweep(params, rows, beta)
         residual = float(np.max(np.abs(new - beta)))
         beta = new
-        if residual < cfg.eps:
+        if residual < cfg.eps or not math.isfinite(residual):
             break
     sol = BoundarySolution(grid=grid, beta=beta, iterations=k,
                            final_residual=residual, method="picard")
-    if not residual < cfg.eps:  # also when the sweeps went non-finite
+    if not math.isfinite(residual):
+        raise ConvergenceError(f"Picard sweep {k} gave a non-finite "
+                               "boundary", sol)
+    if not residual < cfg.eps:
         raise ConvergenceError(
             f"Picard iteration did not reach eps={cfg.eps:g} within "
             f"{cfg.max_iter} sweeps (last residual {residual:.3e})", sol)
@@ -353,12 +349,14 @@ class SolvedBoundary:
     def eval(self, t):
         """Boundary value at original time t in [0, horizon]."""
         params = self.reduction.original
+        t = np.asarray(t, dtype=float)
+        if not ((0.0 <= t) & (t <= params.horizon)).all():
+            raise ValueError(f"SolvedBoundary.eval requires t in "
+                             f"[0, {params.horizon!r}]")
         tc = self.reduction.to_canonical_time(t)
         out = self.reduction.from_canonical_space(
             boundary_eval(self.canonical, tc))
-        out = np.where(np.asarray(t, dtype=float) == params.horizon,
-                       params.z, out)
-        return out if out.ndim else float(out)
+        return np.where(t == params.horizon, params.z, out)[()]
 
 
 def solve_boundary(params: OUBParams,

@@ -58,8 +58,7 @@ def make_context(params: OUBParams) -> TransformContext:
 def _kappa(alpha: float, t):
     """kappa(t) = (1 - e^{-2 alpha t}) / (2 alpha)."""
     t = np.asarray(t, dtype=float)
-    out = -np.expm1(-2.0 * alpha * t) / (2.0 * alpha)
-    return out if out.ndim else float(out)
+    return -np.expm1(-2.0 * alpha * t) / (2.0 * alpha)
 
 
 def _kappa_gap(alpha: float, t):
@@ -74,10 +73,9 @@ def upsilon(alpha: float, t):
     Strictly increasing bijection [0, 1) -> [0, inf) with upsilon(0) = 0.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0) or np.any(t >= 1.0):
+    if not ((0.0 <= t) & (t < 1.0)).all():
         raise ValueError("upsilon requires t in [0, 1)")
-    out = _kappa(alpha, t) * math.exp(-alpha) / _kappa_gap(alpha, t)
-    return out if out.ndim else float(out)
+    return _kappa(alpha, t) * math.exp(-alpha) / _kappa_gap(alpha, t)
 
 
 def envelope(alpha: float, s):
@@ -85,16 +83,14 @@ def envelope(alpha: float, s):
     sqrt((e^alpha + s)(e^-alpha + s)). Satisfies envelope(0) = 1,
     envelope(s) >= sqrt(1 + s^2), and is increasing on s >= 0."""
     s = np.asarray(s, dtype=float)
-    out = np.sqrt((math.exp(alpha) + s) * (math.exp(-alpha) + s))
-    return out if out.ndim else float(out)
+    return np.sqrt((math.exp(alpha) + s) * (math.exp(-alpha) + s))
 
 
 def envelope_deriv(alpha: float, s):
     """Derivative of the envelope: (a + 2s) / (2 envelope(s))."""
     s = np.asarray(s, dtype=float)
     a = math.exp(alpha) + math.exp(-alpha)
-    out = (a + 2.0 * s) / (2.0 * envelope(alpha, s))
-    return out if out.ndim else float(out)
+    return (a + 2.0 * s) / (2.0 * envelope(alpha, s))
 
 
 def original_to_transformed(ctx: TransformContext, t, beta_t):

@@ -29,7 +29,8 @@ import math
 import numpy as np
 from scipy.special import erfc
 
-from oubstop import boundary_eval, density, envelope, envelope_deriv
+from oubstop import boundary_eval, envelope, envelope_deriv
+from oubstop.kernel import density
 from oubstop.transform import _kappa, original_to_transformed, upsilon
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)

@@ -8,14 +8,14 @@ from oubstop import (
     OUBParams,
     SolverConfig,
     ValueSurfaceQuery,
-    cond_mean,
-    cond_std,
     drift,
+    drift_kernel,
     reduce_to_canonical,
     simulate_stopped_payoff,
     solve_boundary,
     value,
 )
+from oubstop.bridge import cond_mean, cond_std
 
 
 def test_params_validation():
@@ -78,6 +78,31 @@ def test_drift_domain_error():
         drift(p, 1.0, 0.0)
     with pytest.raises(ValueError):
         drift(p, -0.1, 0.0)
+    # nan fails the range check instead of passing it
+    with pytest.raises(ValueError):
+        drift(p, math.nan, 1.0)
+    with pytest.raises(ValueError):
+        drift(p, np.array([0.2, math.nan]), 1.0)
+
+
+def test_cond_moments_domain_error():
+    p = OUBParams(alpha=1.0, gamma=1.0, z=0.0)
+    for t1, t2 in ((-0.1, 0.5), (0.5, 0.4), (0.5, 1.1), (1.0, 1.0),
+                   (math.nan, 0.5), (0.2, math.nan)):
+        with pytest.raises(ValueError):
+            cond_mean(p, t1, 0.0, t2)
+        with pytest.raises(ValueError):
+            cond_std(p, t1, t2)
+
+
+def test_scalar_in_numpy_float_out():
+    # a scalar argument gives a numpy float64 (a float), an array an array
+    p = OUBParams(alpha=1.0, gamma=1.0, z=2.0)
+    for out in (drift(p, 0.2, 1.0), cond_mean(p, 0.2, 1.0, 0.5),
+                cond_std(p, 0.2, 0.5), drift_kernel(p, 0.2, 1.0, 0.5, 0.3)):
+        assert type(out) is np.float64
+    assert drift(p, np.array([0.2]), 1.0).shape == (1,)
+    assert drift_kernel(p, 0.2, 1.0, 0.5, np.array([0.3])).shape == (1,)
 
 
 def test_drift_general_parameters_reduce():

@@ -441,14 +441,16 @@ def test_validation_errors_exit_code(capsys):
 
 def test_verify_rejects_malformed_boundary_file(tmp_path, capsys):
     # a file without data rows, with a row that is not one t,beta pair,
-    # with a nan, or ending before the horizon is a validation error
-    # (exit 2), not a verification result
+    # with a nan, starting after 0 or ending before the horizon is a
+    # validation error (exit 2), not a verification result
     src = tmp_path / "b.csv"
     for text, message in (
             ("t,beta\n", "data rows"),
             ("t,beta\n0.0,0.1,7\n0.5,0.2,7\n1.0,0.0,7\n", "data rows"),
             ("t,beta\n0.0,0.1\n0.5,nan\n1.0,0.0\n", "finite"),
             ("t,beta\n0.0,0.1\nnan,0.2\n1.0,0.0\n", "finite"),
+            ("t,beta\n0.25,0.1\n0.5,0.2\n1.0,0.0\n",
+             f"{src}: first time 0.25 is not 0"),
             ("t,beta\n0.0,0.1\n0.25,0.2\n0.5,0.0\n", "horizon")):
         src.write_text(text)
         assert run_cli("verify", "--boundary", str(src)) == 2

@@ -7,15 +7,14 @@ from scipy.integrate import quad
 from oubstop import (
     KernelQuery,
     OUBParams,
-    cond_mean,
-    cond_std,
-    density,
     drift,
     drift_kernel,
     kernel_oracle,
     make_context,
     original_to_transformed,
 )
+from oubstop.bridge import cond_mean, cond_std
+from oubstop.kernel import density
 from oubstop.transform import upsilon
 
 from mirror import gain_t, survival, transformed_integrand

@@ -14,17 +14,15 @@ from oubstop import (
     SolverConfig,
     ValueSurfaceQuery,
     boundary_eval,
-    cond_mean,
-    cond_std,
     drift,
     drift_kernel,
     kernel_oracle,
-    log_partition,
     perturbation_test,
     picard_solve,
     simulate_stopped_payoff,
     value,
 )
+from oubstop.bridge import cond_mean, cond_std
 
 
 def test_config_validation():
@@ -144,7 +142,7 @@ BROWNIAN_BRIDGE = OUBParams(alpha=1e-4, gamma=1.0, z=0.0)
 
 
 def _fixed_boundary(beta_of_t) -> BoundarySolution:
-    grid = log_partition(100)
+    grid = SolverConfig(n=100).build_grid()
     return BoundarySolution(grid=grid, beta=beta_of_t(grid.nodes),
                             iterations=0, final_residual=0.0,
                             method="closed-form")

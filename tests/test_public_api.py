@@ -24,15 +24,11 @@ PUBLIC_NAMES = [
     "ValueSurfaceQuery",
     "backward_solve",
     "boundary_eval",
-    "cond_mean",
-    "cond_std",
-    "density",
     "drift",
     "drift_kernel",
     "envelope",
     "envelope_deriv",
     "kernel_oracle",
-    "log_partition",
     "make_context",
     "original_to_transformed",
     "perturbation_test",

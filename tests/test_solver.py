@@ -14,7 +14,6 @@ from oubstop import (
     backward_solve,
     boundary_eval,
     drift_kernel,
-    log_partition,
     picard_solve,
     solve_boundary,
     value,
@@ -24,7 +23,7 @@ from oubstop.solver import _picard_sweep, _riemann_rows
 
 
 def test_log_partition_endpoints_and_midpoint():
-    grid = log_partition(500)
+    grid = SolverConfig(n=500).build_grid()
     assert grid.nodes[0] == 0.0
     assert grid.nodes[-1] == 1.0
     assert grid.n == 500
@@ -60,8 +59,6 @@ def test_solver_config_validation():
     for field, bad in (("n", 500.5), ("max_iter", 2.5), ("eps", math.inf)):
         with pytest.raises(ValueError, match=f"^{field} must be"):
             SolverConfig(**{field: bad})
-    with pytest.raises(ValueError, match="^n must be an integer"):
-        log_partition(2.5)
     assert SolverConfig(n=np.int64(60)).build_grid().n == 60
 
 
@@ -110,6 +107,17 @@ def test_picard_non_convergence_error():
     assert err.value.solution.iterations == 1
     assert err.value.solution.final_residual > 1e-4
     assert err.value.solution.beta.shape == (51,)
+
+
+def test_picard_stops_at_first_non_finite_sweep():
+    # sinh(800) overflows, so the first sweep is nan: stop there rather
+    # than run all max_iter sweeps on nan
+    with (np.errstate(all="ignore"),
+          pytest.raises(ConvergenceError, match="sweep 1 gave") as err):
+        picard_solve(OUBParams(alpha=800.0, gamma=1.0, z=0.0),
+                     SolverConfig(n=50))
+    assert err.value.solution.iterations == 1
+    assert not math.isfinite(err.value.solution.final_residual)
 
 
 def test_backward_matches_picard():
@@ -244,6 +252,8 @@ def test_boundary_eval_interpolation(std_solution):
         boundary_eval(sol, 1.5)
     with pytest.raises(ValueError):
         boundary_eval(sol, -0.1)
+    with pytest.raises(ValueError):
+        boundary_eval(sol, math.nan)
 
 
 def test_pulling_level_equivariance():
@@ -289,6 +299,12 @@ def test_solved_boundary_eval_endpoints():
     assert sol.values[-1] == 0.3
     assert sol.eval(2.0) == 0.3
     assert sol.eval(0.0) == sol.values[0]
+    assert type(sol.eval(1.0)) is np.float64
+    assert sol.eval(np.array([0.0, 2.0])).shape == (2,)
+    # the range is [0, horizon], named in the error, and nan is outside it
+    for bad in (2.5, -0.1, math.nan, np.array([1.0, math.nan])):
+        with pytest.raises(ValueError, match=r"t in \[0, 2\.0\]"):
+            sol.eval(bad)
 
 
 def test_solve_boundary_method_choice():
@@ -335,7 +351,7 @@ def test_operator_sweep_matches_row_by_row(alpha, gamma, z):
     # one sweep of the precomputed operator against the same sweep rebuilt
     # row by row from the public kernel, from the same boundary
     p = OUBParams(alpha=alpha, gamma=gamma, z=z)
-    grid = log_partition(60)
+    grid = SolverConfig(n=60).build_grid()
     t, n = grid.nodes, grid.n
     dt = np.diff(t)
     beta = z + 0.84 * gamma * np.sqrt(1.0 - t)

@@ -55,6 +55,8 @@ def test_time_maps_domain_errors():
     with pytest.raises(ValueError):
         upsilon(1.0, 1.0)
     with pytest.raises(ValueError):
+        upsilon(1.0, math.nan)
+    with pytest.raises(ValueError):
         upsilon_inv(1.0, -0.1)
 
 
