@@ -105,17 +105,29 @@ class CanonicalReduction:
         return np.add(x, self.space_shift)
 
 
+# Largest canonical slope |alpha|*T accepted. The kernel's coefficient
+# |alpha| cosh(rem) / (2 sinh(rem)), rem = |alpha|(1 - t2), overflows in its
+# numerator once |alpha| passes about 704.6 (rem nears |alpha| at the first
+# node of a fine mesh); 700 leaves a margin.
+_MAX_ALPHA = 700.0
+
+
 def reduce_to_canonical(params: OUBParams) -> CanonicalReduction:
     """Reduce general (theta, T) parameters to the canonical theta=0, T=1
     problem.
 
     Shifting by theta maps the bridge onto one pinned at z - theta; running
     the clock at rate 1/T maps horizon T onto 1 with slope alpha*T and
-    volatility gamma*sqrt(T).
+    volatility gamma*sqrt(T). A canonical slope |alpha|*T above 700 is
+    refused: the kernel overflows soon after.
     """
+    alpha = abs(params.alpha * params.horizon)
+    if alpha > _MAX_ALPHA:
+        raise ValueError(f"|alpha| * horizon must be <= {_MAX_ALPHA:g} (the "
+                         f"kernel overflows soon after), got {alpha!r}")
     r = 1.0 / params.horizon
     canonical = OUBParams(
-        alpha=abs(params.alpha * params.horizon),
+        alpha=alpha,
         gamma=params.gamma * math.sqrt(params.horizon),
         z=params.z - params.theta,
         theta=0.0,

@@ -14,11 +14,21 @@ checks are stated in standard errors plus an allowance for it.
 
 Paths are generated in fixed-size blocks, one splittable rng stream per
 (seed, block) pair, and reduced in block order, so results are bitwise
-identical for any worker count. Each block walks all its paths one step at
-a time, drops paths once they have stopped and draws the same numbers per
-step whichever paths are left, so perturbation tests reuse the same draws
-across boundary shifts (common random numbers), making the suboptimality
-comparison a low-variance paired test.
+identical for any worker count. Paths come in antithetic twins: paths 2i
+and 2i+1 of a block take the step normals +Z and -Z (Glasserman 2004,
+section 4.2), so a step draws one normal per pair and each path keeps its
+exact Gaussian law; a last odd path takes +Z alone. Each block walks all
+its paths one step at a time, drops paths once they have stopped and
+draws the same numbers per step whichever paths are left, so perturbation
+tests reuse the same draws across boundary shifts (common random
+numbers), making the suboptimality comparison a low-variance paired test.
+
+Twins are dependent, so a standard error is the larger of the formula for
+independent paths and the one over independent units (a twin pair or a
+last odd path): no check built on it is tighter than without twins. For
+the stopped payoff the twins are anti-correlated and the realised error is
+about 0.65x the reported one; for paired differences the unit formula is
+the larger by a few per cent.
 
 The module also hosts the quadrature oracle for the drift kernel, fixed
 Gauss-Legendre panels over the conditional law in plain numpy, deliberately
@@ -50,7 +60,7 @@ __all__ = [
 # Paths are processed in blocks of a fixed row count, so the block layout (and
 # with it every drawn number) is independent of the worker count. A block
 # holds one position per path, never the whole path, so memory does not grow
-# with the mesh.
+# with the mesh. The count is even, so no twin pair straddles two blocks.
 _BLOCK_ROWS = 16384
 
 # A step crosses with probability exp(-2*d0*d1/var). Steps with
@@ -74,6 +84,12 @@ class MCConfig:
 
 @dataclass(frozen=True)
 class MCEstimate:
+    """Mean payoff over n paths. std_error is the larger of the
+    independent-path standard error and the one over twin units (pairs of
+    paths with opposite step normals, and a last odd path), 0 with fewer
+    than two paths. A stopped payoff's realised error is about 0.65x the
+    reported one."""
+
     mean: float
     std_error: float
     n: int
@@ -82,7 +98,8 @@ class MCEstimate:
 @dataclass(frozen=True)
 class PerturbationEntry:
     """Estimate for the rule 'stop at boundary + delta', paired against the
-    unshifted rule on the same paths."""
+    unshifted rule on the same paths; se_diff is the standard error of
+    mean_diff by MCEstimate's rule."""
 
     delta: float
     estimate: MCEstimate
@@ -96,14 +113,33 @@ class PerturbationReport:
     entries: tuple[PerturbationEntry, ...]
 
 
+def _std_error(x: np.ndarray) -> float:
+    """Standard error of the mean of per-path values x, paths in twin
+    pairs (2i, 2i+1): the larger of the formula for independent paths and
+    the one over independent units, a pair or a last odd path, each
+    weighted by its size. With fewer than two pairs only the first."""
+    n = x.size
+    if n < 2:
+        return 0.0
+    se = float(np.std(x, ddof=1)) / math.sqrt(n)
+    if n < 4:
+        return se
+    mean = np.mean(x)
+    resid = x[:n - 1:2] + x[1::2] - 2.0 * mean
+    ss = float(resid @ resid)
+    if n % 2:
+        ss += float(x[-1] - mean) ** 2
+    units = n - n // 2
+    return max(se, math.sqrt(ss * units / (units - 1)) / n)
+
+
 def _estimate(payoffs: np.ndarray) -> MCEstimate:
     n = payoffs.size
     if np.all(payoffs == payoffs[0]):
         # exact reduction for degenerate rules (immediate stop, never stop)
         return MCEstimate(mean=float(payoffs[0]), std_error=0.0, n=n)
-    mean = float(np.mean(payoffs))
-    se = float(np.std(payoffs, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return MCEstimate(mean=mean, std_error=se, n=n)
+    return MCEstimate(mean=float(np.mean(payoffs)),
+                      std_error=_std_error(payoffs), n=n)
 
 
 def _monitor_nodes(sol: BoundarySolution, t0: float):
@@ -159,9 +195,11 @@ def _block_payoffs(x0: float, coef, var: np.ndarray, levels: np.ndarray,
     Brownian bridge with variance var[k] up to O((alpha*dt)**2), which gives
     the crossing probability exp(-2*d0*d1/var) for gaps d = level - x and
     the law of the crossing time. A block draws three numbers per path up
-    front and one normal per row at every step, whatever has stopped, so a
-    path's numbers do not depend on the levels or on the other paths: every
-    level column equals the result for that level alone.
+    front and, at every step, one normal per twin pair of rows (2i, 2i+1),
+    which moves row 2i by +Z and row 2i+1 by -Z, whatever has stopped; a
+    last odd row takes +Z alone. So a path's numbers do not depend on the
+    levels or on the other paths: every level column equals the result
+    for that level alone.
     """
     slope, shift, sd = coef
     n_lev = levels.shape[1]
@@ -178,12 +216,17 @@ def _block_payoffs(x0: float, coef, var: np.ndarray, levels: np.ndarray,
     gauss = rng.standard_normal(size)
     unif = rng.random(size)
     rows = np.arange(size)
+    pairs = size // 2
+    draws = np.empty(size - pairs)
+    noise = np.empty(size)
     x = np.full(size, x0)
     gap = levels[0][:, None] - x
     hazard = np.zeros((n_lev, size))
     stops = 0
     for k in range(slope.size):
-        noise = rng.standard_normal(size)
+        rng.standard_normal(out=draws)
+        noise[0::2] = draws
+        np.negative(draws[:pairs], out=noise[1::2])
         x = _advance(x, k, slope, shift, sd,
                      noise if rows.size == size else noise[rows])
         new = levels[k + 1][:, None] - x
@@ -247,7 +290,8 @@ def simulate_stopped_payoff(params: OUBParams, sol: BoundarySolution,
 
     A path pays the boundary where it first touches it, or exactly z if it
     never does; a start at or above the boundary stops immediately with
-    zero standard error. On a solved boundary the estimate sits about
+    zero standard error. Paths come in antithetic twins, and std_error
+    accounts for them (see MCEstimate). On a solved boundary the estimate sits about
     1.4e-3 below value() at N=500: beta is pinned to z one node early, so
     the rule stops too low next to the horizon. That residual shrinks as N
     grows; it is no monitoring bias, since paths stop between nodes too.
@@ -262,8 +306,10 @@ def perturbation_test(params: OUBParams, sol: BoundarySolution,
     numbers across all deltas.
 
     The delta = 0 column is bit-identical to simulate_stopped_payoff with
-    the same config. If the solved boundary is optimal, no shift improves
-    the paired mean beyond noise. A delta of +inf never stops and one of
+    the same config. Every delta sees the same antithetic twins, and
+    se_diff is the larger of the independent-path and twin-unit standard
+    errors of the paired differences. If the solved boundary is optimal,
+    no shift improves the paired mean beyond noise. A delta of +inf never stops and one of
     -inf stops at once; x0 must be finite and no delta may be nan.
     """
     _require_canonical(params)
@@ -279,11 +325,9 @@ def perturbation_test(params: OUBParams, sol: BoundarySolution,
     entries = []
     for d, pays in zip(deltas, all_payoffs[1:]):
         diff = pays - base
-        n = diff.size
-        se = float(np.std(diff, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
         entries.append(PerturbationEntry(
             delta=d, estimate=_estimate(pays),
-            mean_diff=float(np.mean(diff)), se_diff=se))
+            mean_diff=float(np.mean(diff)), se_diff=_std_error(diff)))
     return PerturbationReport(baseline=_estimate(base), entries=tuple(entries))
 
 

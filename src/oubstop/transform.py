@@ -62,8 +62,9 @@ def _kappa(alpha: float, t):
 
 
 def _kappa_gap(alpha: float, t):
-    # kappa(1) - kappa(t), written to avoid cancellation as t -> 1
-    return math.exp(-2.0 * alpha) * np.expm1(2.0 * alpha * (1.0 - t)) / (2.0 * alpha)
+    # kappa(1) - kappa(t) = e^{-2 alpha t} (1 - e^{-2 alpha (1 - t)}) / (2 alpha),
+    # free of cancellation as t -> 1 and of overflow for large alpha > 0
+    return -np.exp(-2.0 * alpha * t) * np.expm1(-2.0 * alpha * (1.0 - t)) / (2.0 * alpha)
 
 
 def upsilon(alpha: float, t):

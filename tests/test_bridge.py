@@ -191,6 +191,23 @@ def test_reduce_normalises_slope_sign():
     assert plus.canonical == minus.canonical
 
 
+def test_reduce_refuses_slope_past_kernel_limit():
+    # the canonical slope is |alpha| * T; the kernel overflows from about
+    # 704.6, so past 700 the parameters are refused before any solve
+    for alpha, horizon in ((700.0, 1.0), (-350.0, 2.0)):
+        red = reduce_to_canonical(OUBParams(alpha=alpha, gamma=1.0, z=0.0,
+                                            horizon=horizon))
+        assert red.canonical.alpha == 700.0
+    for alpha, horizon in ((np.nextafter(700.0, np.inf), 1.0),
+                           (-350.0, np.nextafter(2.0, np.inf)),
+                           (800.0, 1.0), (1e308, 10.0)):
+        p = OUBParams(alpha=alpha, gamma=1.0, z=0.0, horizon=horizon)
+        with pytest.raises(ValueError, match="must be <= 700"):
+            reduce_to_canonical(p)
+        with pytest.raises(ValueError, match="must be <= 700"):
+            solve_boundary(p, SolverConfig(n=20))
+
+
 def test_reduction_round_trip_one_ulp():
     rng = np.random.default_rng(11)
     for theta, horizon in [(0.3, 3.0), (-1.7, 0.25), (5.0, 1.0), (0.0, 7.0)]:

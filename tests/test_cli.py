@@ -1,4 +1,5 @@
 import argparse
+import warnings
 
 import numpy as np
 import pytest
@@ -368,6 +369,22 @@ def test_bad_thread_count_names_the_variable(threads, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert f"error: OUBSTOP_THREADS must be an integer >= 1, got '{threads}'" \
         in err
+
+
+def test_verify_at_largest_accepted_alpha(capsys):
+    # up to the slope limit 700 verify runs without a numpy warning (the
+    # kernel overflows from about 704.6), and the next float up is a
+    # validation error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("verify", "--alpha", "700", "--n", "20",
+                       "--paths", "10") == 0
+    capsys.readouterr()
+    above = str(float(np.nextafter(700.0, 701.0)))
+    assert run_cli("verify", "--alpha", above, "--n", "20",
+                   "--paths", "10") == 2
+    assert "error: |alpha| * horizon must be <= 700" \
+        in capsys.readouterr().err
 
 
 def test_solve_far_pin_strong_pull(capsys):

@@ -217,14 +217,108 @@ def test_nan_delta_is_refused(std_params, std_solution):
                           0.0, 0.0, MCConfig(paths=100))
 
 
+def _unit_std_error(x):
+    """Standard error over independent units: twin pairs (2i, 2i+1) and a
+    lone last path when the count is odd, each weighted by its size."""
+    n = x.size
+    starts = np.arange(0, n, 2)
+    sums = np.add.reduceat(x, starts)
+    sizes = np.diff(np.append(starts, n))
+    units = starts.size
+    resid = sums - sizes * np.mean(x)
+    return math.sqrt(units / (units - 1) * np.sum(resid ** 2)) / n
+
+
 def test_estimate_standard_error_definition(std_params, std_solution):
+    # twins are dependent, so std_error and se_diff are the larger of the
+    # independent-path formula and the one over twin units
     from oubstop.mc import _run_payoffs
-    cfg = MCConfig(paths=10_000, seed=29)
-    payoffs = _run_payoffs(std_params, std_solution, 0.0, 0.0, cfg, (0.0,))[0]
-    est = simulate_stopped_payoff(std_params, std_solution, 0.0, 0.0, cfg)
-    assert est.mean == np.mean(payoffs)
-    assert est.std_error == pytest.approx(
-        np.std(payoffs, ddof=1) / math.sqrt(payoffs.size), rel=1e-12)
+    for paths in (10_000, 10_001):
+        cfg = MCConfig(paths=paths, seed=29)
+        base, up = _run_payoffs(std_params, std_solution, 0.0, 0.0, cfg,
+                                (0.0, 0.25))
+        report = perturbation_test(std_params, std_solution, [0.25],
+                                   0.0, 0.0, cfg)
+        assert report.baseline.mean == np.mean(base)
+        ratios = []
+        for x, se in ((base, report.baseline.std_error),
+                      (up - base, report.entries[0].se_diff)):
+            indep = np.std(x, ddof=1) / math.sqrt(x.size)
+            unit = _unit_std_error(x)
+            assert se == pytest.approx(max(indep, unit), rel=1e-12)
+            ratios.append(unit / indep)
+        # twins are anti-correlated in V, so its realised error is about
+        # 0.65x the reported one; in the paired difference they are not
+        assert 0.5 < ratios[0] < 0.8 and ratios[1] > 1.0
+    # for an even count the unit formula is the SE of the pair means
+    pair_means = base[:-1].reshape(-1, 2).mean(axis=1)
+    assert _unit_std_error(base[:-1]) == pytest.approx(
+        np.std(pair_means, ddof=1) / math.sqrt(pair_means.size), rel=1e-12)
+
+
+class _CountingRng:
+    """A Generator that records the kind and count of every draw."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.calls = []
+
+    def standard_exponential(self, size):
+        self.calls.append(("exponential", size))
+        return self._rng.standard_exponential(size)
+
+    def random(self, size):
+        self.calls.append(("uniform", size))
+        return self._rng.random(size)
+
+    def standard_normal(self, size=None, out=None):
+        self.calls.append(("normal", size if out is None else out.size))
+        return self._rng.standard_normal(size, out=out)
+
+
+@pytest.mark.parametrize("size", [1, 1000, 1001])
+def test_block_draws_one_normal_per_twin_pair(std_params, std_solution, size):
+    from oubstop.mc import _block_payoffs, _monitor_nodes, _step_coefficients
+    nodes, bounds = _monitor_nodes(std_solution, 0.0)
+    coef = _step_coefficients(std_params, nodes)
+    var = std_params.gamma ** 2 * np.diff(nodes)
+    # a level out of reach stops no path, so every step is walked
+    rng = _CountingRng(0)
+    _block_payoffs(0.0, coef, var, bounds[:, None] + 1000.0, std_params.z,
+                   rng, size)
+    assert rng.calls[:3] == [("exponential", size), ("normal", size),
+                             ("uniform", size)]
+    assert rng.calls[3:] == [("normal", (size + 1) // 2)] * (nodes.size - 1)
+
+
+def test_twin_rows_are_antithetic(std_params, std_solution):
+    # rows 2i and 2i+1 move by +Z and -Z at every step: their payoffs are
+    # anti-correlated, while rows of different pairs are independent
+    from oubstop.mc import _run_payoffs
+    pay = _run_payoffs(std_params, std_solution, 0.0, 0.0,
+                       MCConfig(paths=20_000, seed=3), (0.0,))[0]
+    assert np.corrcoef(pay[0::2], pay[1::2])[0, 1] < -0.4
+    assert abs(np.corrcoef(pay[1:-1:2], pay[2::2])[0, 1]) < 0.05
+
+
+def test_odd_last_block_across_workers(std_params, std_solution):
+    # two full blocks and one of a single, unpaired path
+    reports = [perturbation_test(std_params, std_solution, [0.25], 0.0, 0.0,
+                                 MCConfig(paths=2 * 16384 + 1, seed=7,
+                                          workers=w))
+               for w in (1, 3)]
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("paths", [1, 2, 3, 4, 5])
+def test_few_paths_give_finite_standard_errors(std_params, std_solution,
+                                               paths):
+    report = perturbation_test(std_params, std_solution, [0.25], 0.0, 0.0,
+                               MCConfig(paths=paths, seed=2))
+    entry = report.entries[0]
+    assert report.baseline.n == paths
+    assert all(math.isfinite(v) and v >= 0.0 for v in (
+        report.baseline.std_error, entry.estimate.std_error, entry.se_diff))
 
 
 def test_kernel_oracle_saturation_limits(std_params):

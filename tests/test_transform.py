@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -49,6 +50,21 @@ def test_upsilon_strictly_increasing():
     for a in (1.0, -3.0):
         u = upsilon(a, t)
         assert np.all(np.diff(u) > 0.0)
+
+
+def test_upsilon_large_alpha_stays_finite():
+    # kappa(1) - kappa(t) written as e^{-2 alpha} e^{2 alpha (1 - t)}
+    # overflows from alpha about 355; the gap must match the plain
+    # difference and stay finite up to the slope limit 700
+    t = np.linspace(0.0, 0.5, 51)
+    for a in (0.5, 3.0):
+        assert np.allclose(upsilon(a, t), kappa(a, t) * math.exp(-a)
+                           / (kappa(a, 1.0) - kappa(a, t)), rtol=1e-13)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in (360.0, 700.0):
+            u = upsilon(a, t)
+            assert u[0] == 0.0 and np.all(np.diff(u) > 0.0)
 
 
 def test_time_maps_domain_errors():
