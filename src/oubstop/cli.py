@@ -233,7 +233,11 @@ def _verify_checks(params: OUBParams, sol: BoundarySolution, mc: MCConfig):
 
     for entry in report.entries:
         name = "perturbation_up" if entry.delta > 0 else "perturbation_down"
-        stat = entry.mean_diff / entry.se_diff if entry.se_diff > 0 else 0.0
+        if entry.se_diff > 0.0:
+            stat = entry.mean_diff / entry.se_diff
+        else:  # the same difference on every path: its sign is certain
+            stat = math.copysign(math.inf, entry.mean_diff) \
+                if entry.mean_diff != 0.0 else 0.0
         yield (name, stat, 3.0, stat <= 3.0)
 
     # Transformed-coordinate lower bound at the initial node: below

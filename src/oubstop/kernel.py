@@ -105,14 +105,20 @@ class KernelTable:
             setattr(out, name, getattr(self, name)[pairs])
         return out
 
-    def evaluate(self, x1, x2) -> np.ndarray:
-        """K at (x1, x2), broadcast against the table's time pairs."""
+    def evaluate(self, x1, x2, _work=None) -> np.ndarray:
+        """K at (x1, x2), broadcast against the table's time pairs.
+
+        _work, for a caller that sweeps the same table many times, is three
+        float arrays of the result's shape that take m, w and the result in
+        turn, so that the call allocates nothing; the first two may be x1
+        and x2 themselves, which are then overwritten."""
+        m, w, out = (None, None, None) if _work is None else _work
         # the class formula, in place: every line below rewrites m, w or out
-        m = self.slope * x1
+        m = np.multiply(self.slope, x1, out=m)
         m += self.shift
-        w = x2 - m
+        w = np.subtract(x2, m, out=w)
         w *= self.inv_v
-        out = erfc(w)
+        out = erfc(w, out=out)
         m *= self.cm
         np.subtract(self.cz, m, out=m)
         out *= m
@@ -124,20 +130,20 @@ class KernelTable:
         return out
 
 
-def drift_kernel(params: OUBParams, t1, x1, t2, x2, table=None):
+def drift_kernel(params: OUBParams, t1, x1, t2, x2, table=None, _work=None):
     """Evaluate K(t1, x1, t2, x2) for canonical params; broadcasts over
     array arguments.
 
     Raises unless 0 <= t1 < t2 < 1. With a KernelTable built for params,
     pass t1 = t2 = None: the times are the table's, and the result is the
-    array table.evaluate(x1, x2).
+    array table.evaluate(x1, x2, _work).
     """
     if table is not None:
         if (t1 is not None or t2 is not None
                 or (table.params is not params and table.params != params)):
             raise ValueError("with a table, pass t1 = t2 = None and the "
                              "params it was built for")
-        return table.evaluate(x1, x2)
+        return table.evaluate(x1, x2, _work)
     t1 = np.asarray(t1, dtype=float)
     x1 = np.asarray(x1, dtype=float)
     t2 = np.asarray(t2, dtype=float)

@@ -22,6 +22,10 @@ its paths one step at a time, drops paths once they have stopped and
 draws the same numbers per step whichever paths are left, so perturbation
 tests reuse the same draws across boundary shifts (common random
 numbers), making the suboptimality comparison a low-variance paired test.
+The step loop only finds the step in which each path stops; crossing times
+and payoffs are computed for many stops at once, whenever a block drops
+its stopped paths and after its last step. The loop writes into work
+arrays that a block allocates once.
 
 Twins are dependent, so a standard error is the larger of the formula for
 independent paths and the one over independent units (a twin pair or a
@@ -87,8 +91,8 @@ class MCEstimate:
     """Mean payoff over n paths. std_error is the larger of the
     independent-path standard error and the one over twin units (pairs of
     paths with opposite step normals, and a last odd path), 0 with fewer
-    than two paths. A stopped payoff's realised error is about 0.65x the
-    reported one."""
+    than two paths or when all payoffs are equal. A stopped payoff's
+    realised error is about 0.65x the reported one."""
 
     mean: float
     std_error: float
@@ -117,9 +121,11 @@ def _std_error(x: np.ndarray) -> float:
     """Standard error of the mean of per-path values x, paths in twin
     pairs (2i, 2i+1): the larger of the formula for independent paths and
     the one over independent units, a pair or a last odd path, each
-    weighted by its size. With fewer than two pairs only the first."""
+    weighted by its size. With fewer than two pairs only the first. Exactly
+    0 when all values are equal: the rounded mean of equal values can
+    differ from them and leave a spurious spread."""
     n = x.size
-    if n < 2:
+    if n < 2 or np.all(x == x[0]):
         return 0.0
     se = float(np.std(x, ddof=1)) / math.sqrt(n)
     if n < 4:
@@ -159,8 +165,14 @@ def _step_coefficients(params: OUBParams, nodes: np.ndarray):
 
 def _advance(x: np.ndarray, k: int, slope, shift, sd,
              noise: np.ndarray) -> np.ndarray:
-    """Exact transition over step k; the last step lands on z exactly."""
-    return slope[k] * x + shift[k] + sd[k] * noise
+    """Exact transition over step k, in place: x becomes its new value and
+    noise its scaled value, and x is returned. The last step lands on z
+    exactly."""
+    x *= slope[k]
+    x += shift[k]
+    noise *= sd[k]
+    x += noise
+    return x
 
 
 def _crossing_fraction(d0, d1, var, gauss, unif):
@@ -200,6 +212,14 @@ def _block_payoffs(x0: float, coef, var: np.ndarray, levels: np.ndarray,
     last odd row takes +Z alone. So a path's numbers do not depend on the
     levels or on the other paths: every level column equals the result
     for that level alone.
+
+    The step loop only decides which (level, path) pairs stop in which
+    step, and keeps the step and both gaps of each. Their crossing times
+    and payoffs are computed together: whenever the loop drops stopped
+    paths, which it does once the stops since the last drop reach an
+    eighth of its rows, and after its last step. The loop writes into work
+    arrays allocated up front; dropping paths compresses the kept entries
+    into the front of free ones.
     """
     slope, shift, sd = coef
     n_lev = levels.shape[1]
@@ -218,45 +238,83 @@ def _block_payoffs(x0: float, coef, var: np.ndarray, levels: np.ndarray,
     rows = np.arange(size)
     pairs = size // 2
     draws = np.empty(size - pairs)
-    noise = np.empty(size)
-    x = np.full(size, x0)
+    noise = step = np.empty(size)  # step: noise[rows], once rows are dropped
+    x = np.full(size, x0, dtype=float)
     gap = levels[0][:, None] - x
     hazard = np.zeros((n_lev, size))
+    new, prod = np.empty_like(gap), np.empty_like(gap)
+    near_mask = np.empty(gap.shape, dtype=bool)
+    hits = []  # (step, level, row, gap before, gap after) of each stop
     stops = 0
-    for k in range(slope.size):
-        rng.standard_normal(out=draws)
-        noise[0::2] = draws
-        np.negative(draws[:pairs], out=noise[1::2])
-        x = _advance(x, k, slope, shift, sd,
-                     noise if rows.size == size else noise[rows])
-        new = levels[k + 1][:, None] - x
-        prod = gap * new
-        near = np.flatnonzero(live & (prod < reach[k]))
-        if near.size:
-            p = np.exp(-2.0 * np.maximum(prod.take(near), 0.0) / var[k])
-            with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf: a sure crossing
+        for k in range(slope.size):
+            rng.standard_normal(out=draws)
+            noise[0::2] = draws
+            np.negative(draws[:pairs], out=noise[1::2])
+            if step is not noise:
+                np.take(noise, rows, out=step)
+            _advance(x, k, slope, shift, sd, step)
+            np.subtract(levels[k + 1][:, None], x, out=new)
+            np.multiply(gap, new, out=prod)
+            np.less(prod, reach[k], out=near_mask)
+            near_mask &= live
+            near = np.flatnonzero(near_mask)
+            if near.size:
+                p = np.exp(-2.0 * np.maximum(prod.take(near), 0.0) / var[k])
                 h = hazard.take(near) - np.log1p(-p)
-            np.put(hazard, near, h)
-            hit = near[h >= clock[rows[near % rows.size]]]
-            j, i = np.divmod(hit, rows.size)
-            r = rows[i]
-            frac = _crossing_fraction(gap.take(hit), new.take(hit), var[k],
-                                      gauss[r], unif[r])
-            pay[j, r] = levels[k, j] + (levels[k + 1, j] - levels[k, j]) * frac
-            np.put(live, hit, False)
-            stops += hit.size
-        gap = new
-        if 8 * stops >= rows.size:
-            keep = live.any(axis=0)
-            if not keep.any():
-                break
-            # compress, unlike boolean indexing, keeps the (level, row)
-            # arrays C-contiguous, so flat take/put on them stay cheap
-            rows, x = rows[keep], x[keep]
-            gap, live, hazard = (np.compress(keep, a, axis=1)
-                                 for a in (gap, live, hazard))
-            stops = 0
+                np.put(hazard, near, h)
+                hit = near[h >= clock[rows[near % rows.size]]]
+                if hit.size:
+                    j, i = np.divmod(hit, rows.size)
+                    hits.append((k, j, rows[i], gap.take(hit),
+                                 new.take(hit)))
+                    np.put(live, hit, False)
+                    stops += hit.size
+            gap, new = new, gap
+            if 8 * stops >= rows.size:
+                _pay_crossings(pay, hits, levels, var, gauss, unif)
+                hits = []
+                keep = live.any(axis=0)
+                if not keep.any():
+                    break
+                # compress, unlike boolean indexing, keeps the (level, row)
+                # arrays C-contiguous, so flat take/put on them stay cheap.
+                # Each goes to the front of its free work array, whose
+                # place its old memory then takes.
+                rows, x = rows[keep], x[keep]
+                shape = (n_lev, rows.size)
+                gap, new = (np.compress(keep, gap, axis=1,
+                                        out=_front(new, shape)),
+                            _front(gap, shape))
+                hazard, prod = (np.compress(keep, hazard, axis=1,
+                                            out=_front(prod, shape)),
+                                _front(hazard, shape))
+                live, near_mask = (np.compress(keep, live, axis=1,
+                                               out=_front(near_mask, shape)),
+                                   _front(live, shape))
+                step = np.empty(rows.size) if step is noise \
+                    else step[:rows.size]
+                stops = 0
+    if hits:
+        _pay_crossings(pay, hits, levels, var, gauss, unif)
     return pay
+
+
+def _front(buf: np.ndarray, shape) -> np.ndarray:
+    """A C-contiguous view of the given shape on the front of buf's
+    memory."""
+    return buf.reshape(-1)[:math.prod(shape)].reshape(shape)
+
+
+def _pay_crossings(pay, hits, levels, var, gauss, unif) -> None:
+    """Pay each stop in hits, a list of (step k, level j, row r, gaps d0 and
+    d1 at the step's ends) with array entries, the level at its crossing
+    time, timed by the path's own normal and uniform."""
+    k = np.repeat([hit[0] for hit in hits], [hit[1].size for hit in hits])
+    j, r, d0, d1 = (np.concatenate([hit[n] for hit in hits])
+                    for n in range(1, 5))
+    frac = _crossing_fraction(d0, d1, var[k], gauss[r], unif[r])
+    pay[j, r] = levels[k, j] + (levels[k + 1, j] - levels[k, j]) * frac
 
 
 def _run_payoffs(params: OUBParams, sol: BoundarySolution, t0: float,

@@ -174,13 +174,27 @@ def _riemann_rows(params: OUBParams, nodes: np.ndarray, starts):
     return head, j, w, table
 
 
-def _picard_sweep(params: OUBParams, rows, beta: np.ndarray) -> np.ndarray:
+def _sweep_work(rows):
+    """Work arrays for _picard_sweep on the Riemann rows (head, j, w,
+    table): the row of each entry, which is the index of its start node,
+    and three float arrays with one value per entry."""
+    head, j = rows[0], rows[1]
+    owner = np.repeat(np.arange(head.size), np.diff(head, append=j.size))
+    return owner, np.empty(j.size), np.empty(j.size), np.empty(j.size)
+
+
+def _picard_sweep(params: OUBParams, rows, beta: np.ndarray,
+                  work) -> np.ndarray:
     """One full-boundary update of the discretised Volterra equation on the
     Riemann rows (head, j, w, table) of the starts t_0..t_{N-2}, each of
-    them non-empty."""
+    them non-empty. work is _sweep_work(rows), built once for all sweeps;
+    the sweep writes into it and allocates no array longer than the
+    boundary."""
     head, j, w, table = rows
-    x1 = np.repeat(beta[:head.size], np.diff(head, append=j.size))
-    k = drift_kernel(params, None, x1, None, beta[j], table=table)
+    owner, x1, x2, k = work
+    np.take(beta, owner, out=x1)
+    np.take(beta, j, out=x2)
+    drift_kernel(params, None, x1, None, x2, table=table, _work=(x1, x2, k))
     k *= w
     new = np.full_like(beta, params.z)
     new[:head.size] -= np.add.reduceat(k, head)
@@ -201,9 +215,10 @@ def picard_solve(params: OUBParams, cfg: SolverConfig = SolverConfig()) -> Bound
     _require_canonical(params)
     grid = cfg.build_grid()
     rows = _riemann_rows(params, grid.nodes, grid.nodes[:-2])
+    work = _sweep_work(rows)
     beta = np.full(grid.nodes.size, params.z, dtype=float)
     for k in range(1, cfg.max_iter + 1):
-        new = _picard_sweep(params, rows, beta)
+        new = _picard_sweep(params, rows, beta, work)
         residual = float(np.max(np.abs(new - beta)))
         beta = new
         if residual < cfg.eps or not math.isfinite(residual):

@@ -387,6 +387,22 @@ def test_verify_at_largest_accepted_alpha(capsys):
         in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("paths", [3, 4, 5])
+def test_verify_constant_paired_difference_is_certain(paths, tmp_path):
+    # a strong pull where both shifted rules differ from the unshifted one
+    # by the same amount on every path: se_diff is exactly 0, and the
+    # statistic is the sign of the difference, not a rounding artefact
+    # (9e15 at 3 paths) or 0 (at 4 and 5)
+    out = tmp_path / "r.csv"
+    assert run_cli("verify", "--alpha", "-350", "--horizon", "2",
+                   "--theta", "1", "--n", "20", "--paths", str(paths),
+                   "--out", str(out)) == 1
+    rows = dict(r.split(",", 1)
+                for r in out.read_text().strip().splitlines()[1:])
+    assert rows["perturbation_up"] == "inf,3,fail"
+    assert rows["perturbation_down"] == "-inf,3,pass"
+
+
 def test_solve_far_pin_strong_pull(capsys):
     # Picard runs out of its 500 sweeps here; the node-by-node solve
     # reaches its tolerance at every node

@@ -20,9 +20,12 @@ from oubstop import (
     perturbation_test,
     picard_solve,
     simulate_stopped_payoff,
+    solve_boundary,
     value,
 )
 from oubstop.bridge import cond_mean, cond_std
+
+import mc_reference
 
 
 def test_config_validation():
@@ -256,6 +259,15 @@ def test_estimate_standard_error_definition(std_params, std_solution):
         np.std(pair_means, ddof=1) / math.sqrt(pair_means.size), rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [3, 7, 10])
+def test_std_error_of_equal_values_is_zero(n):
+    # the rounded mean of n equal values can differ from them (by 1e-17
+    # at these counts), which left a spread where there is none
+    from oubstop.mc import _std_error
+    for v in (0.1, 0.354, 1.0 / 3.0, 0.7):
+        assert _std_error(np.full(n, v)) == 0.0
+
+
 class _CountingRng:
     """A Generator that records the kind and count of every draw."""
 
@@ -289,6 +301,45 @@ def test_block_draws_one_normal_per_twin_pair(std_params, std_solution, size):
     assert rng.calls[:3] == [("exponential", size), ("normal", size),
                              ("uniform", size)]
     assert rng.calls[3:] == [("normal", (size + 1) // 2)] * (nodes.size - 1)
+
+
+@pytest.mark.parametrize("n", [20, 500])
+@pytest.mark.parametrize("alpha,gamma,z", [
+    (1.0, 1.0, 0.0), (5.0, 1.0, -5.0), (1.0, 2.0, 5.0), (0.01, 1.0, 0.0)])
+def test_block_payoffs_match_reference(alpha, gamma, z, n):
+    # the block loop with reused work arrays and crossings timed in
+    # batches gives the payoffs of the loop that timed them step by step
+    # (tests/mc_reference.py), bit for bit: from below, at and above the
+    # boundary, from t0 > 0, at +-inf shifts, on block sizes with and
+    # without a last odd row, and on levels that stop every path early,
+    # which leaves the loop by its break
+    from oubstop.mc import _block_payoffs, _monitor_nodes, _step_coefficients
+    params = OUBParams(alpha=alpha, gamma=gamma, z=z)
+    sol = solve_boundary(params, SolverConfig(n=n)).canonical
+    deltas = np.array([0.0, 0.25, -0.25, math.inf, -math.inf]) * gamma
+    small, full = (1, 2, 3, 1001), (1, 2, 3, 1001, 16384)
+    cases = []
+    for t0 in (0.0, 0.4):
+        nodes, bounds = _monitor_nodes(sol, t0)
+        levels = bounds[:, None] + deltas
+        for x0 in (z, bounds[0], bounds[0] + 0.1 * gamma):
+            cases.append((nodes, levels, x0, full if t0 == x0 == z else small))
+    nodes, bounds = _monitor_nodes(sol, 0.0)
+    plunge = np.where(nodes < 0.5, 0.0, -1e3 * gamma)
+    cases.append((nodes, (bounds + plunge)[:, None] + deltas[:3], z, full))
+    stopped_early = False
+    for nodes, levels, x0, sizes in cases:
+        coef = _step_coefficients(params, nodes)
+        var = gamma ** 2 * np.diff(nodes)
+        for size in sizes:
+            got, want = (
+                block(x0, coef, var, levels, z, np.random.default_rng(size),
+                      size)
+                for block in (_block_payoffs, mc_reference.block_payoffs))
+            assert np.array_equal(got, want)
+            if levels.shape[1] == 3:
+                stopped_early |= bool(np.all(got != z))
+    assert stopped_early
 
 
 def test_twin_rows_are_antithetic(std_params, std_solution):

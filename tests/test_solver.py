@@ -19,7 +19,19 @@ from oubstop import (
     value,
 )
 from oubstop import solver
-from oubstop.solver import _picard_sweep, _riemann_rows
+from oubstop.solver import _picard_sweep, _riemann_rows, _sweep_work
+
+
+def _reference_sweep(params, rows, beta):
+    """One Picard sweep as it was written before it reused work arrays:
+    fresh arrays for x1, x2 and the kernel values at every call."""
+    head, j, w, table = rows
+    x1 = np.repeat(beta[:head.size], np.diff(head, append=j.size))
+    k = drift_kernel(params, None, x1, None, beta[j], table=table)
+    k *= w
+    new = np.full_like(beta, params.z)
+    new[:head.size] -= np.add.reduceat(k, head)
+    return new
 
 
 def test_log_partition_endpoints_and_midpoint():
@@ -357,7 +369,7 @@ def test_operator_sweep_matches_row_by_row(alpha, gamma, z):
     beta = z + 0.84 * gamma * np.sqrt(1.0 - t)
     beta[-1] = z
     riemann = _riemann_rows(p, t, t[:-2])
-    swept = _picard_sweep(p, riemann, beta)
+    swept = _picard_sweep(p, riemann, beta, _sweep_work(riemann))
     rows = [z - float(np.dot(drift_kernel(p, t[i], beta[i], t[i + 1:n],
                                           beta[i + 1:n]), dt[i:n - 1]))
             for i in range(n - 1)]
@@ -378,3 +390,40 @@ def test_operator_sweep_matches_row_by_row(alpha, gamma, z):
     direct = drift_kernel(p, t[i], x1, t[j + 1], x2)
     tabled = drift_kernel(p, None, x1, None, x2, table=riemann[3])
     assert np.array_equal(direct, tabled)
+
+
+@pytest.mark.parametrize("n", [20, 500])
+def test_sweep_work_arrays_change_nothing(n):
+    # sweeps that write into one set of work arrays give the boundaries of
+    # sweeps that allocate afresh, bit for bit
+    p = OUBParams(alpha=1.0, gamma=0.5, z=-5.0)
+    t = SolverConfig(n=n).build_grid().nodes
+    rows = _riemann_rows(p, t, t[:-2])
+    work = _sweep_work(rows)
+    got = want = np.full(t.size, p.z)
+    for _ in range(30):
+        got = _picard_sweep(p, rows, got, work)
+        want = _reference_sweep(p, rows, want)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("alpha,gamma,z,sweeps", [
+    (1.0, 0.5, -5.0, 205), (1.0, 1.0, 0.0, 15)])
+def test_picard_solve_matches_reference_sweeps(alpha, gamma, z, sweeps):
+    # picard_solve, with its work arrays, stops after as many sweeps and
+    # on the same boundary as the allocating sweep run to the same rule
+    p = OUBParams(alpha=alpha, gamma=gamma, z=z)
+    cfg = SolverConfig(n=500)
+    sol = picard_solve(p, cfg)
+    t = cfg.build_grid().nodes
+    rows = _riemann_rows(p, t, t[:-2])
+    beta = np.full(t.size, z)
+    for k in range(1, cfg.max_iter + 1):
+        new = _reference_sweep(p, rows, beta)
+        residual = float(np.max(np.abs(new - beta)))
+        beta = new
+        if residual < cfg.eps:
+            break
+    assert sol.iterations == k == sweeps
+    assert sol.final_residual == residual
+    assert np.array_equal(sol.beta, beta)
