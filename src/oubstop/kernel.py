@@ -70,31 +70,36 @@ class KernelTable:
     cv = 2 cm v / sqrt(2 pi). Only x1 and x2 vary between evaluations on the
     same time pairs, so a solver that sweeps them many times builds the
     table once and passes it to drift_kernel; t1 and t2 are not kept. The
-    coefficient arrays are at least one-dimensional.
+    coefficient arrays are at least one-dimensional, all of one shape.
     """
 
     __slots__ = ("params", "slope", "shift", "inv_v", "cz", "cm", "cv")
 
     def __init__(self, params: OUBParams, t1, t2):
         _require_canonical(params)
-        t1, t2 = np.atleast_1d(np.asarray(t1, dtype=float),
-                               np.asarray(t2, dtype=float))
+        t1, t2 = np.broadcast_arrays(*np.atleast_1d(
+            np.asarray(t1, dtype=float), np.asarray(t2, dtype=float)))
         if not ((t1 >= 0.0) & (t1 < t2) & (t2 < 1.0)).all():
             raise ValueError("kernel table requires 0 <= t1 < t2 < 1")
         aa = abs(params.alpha)
-        rem = aa * (1.0 - t2)
-        sinh_rem = np.sinh(rem)
-        sinh_gap = np.sinh(aa * (t2 - t1))
-        sinh_start = np.sinh(aa * (1.0 - t1))
         self.params = params
+        # in place, with each formula's operations in order (bits depend on it)
+        sinh_rem = aa * (1.0 - t2)  # rem, until sinh overwrites it
+        self.cm = np.cosh(sinh_rem)
+        np.sinh(sinh_rem, out=sinh_rem)
+        sinh_gap = np.sinh(aa * (t2 - t1))
+        v = np.sinh(aa * (1.0 - t1))  # sinh_start, until v overwrites it
         # the conditional moments of bridge.cond_mean and bridge.cond_std
-        self.slope = sinh_rem / sinh_start
-        self.shift = params.z * sinh_gap / sinh_start
-        v = np.sqrt(params.gamma ** 2 / aa * self.slope * sinh_gap)
-        self.inv_v = _INV_SQRT2 / v
-        self.cz = 0.5 * aa * params.z / sinh_rem
-        self.cm = 0.5 * aa * np.cosh(rem) / sinh_rem
-        self.cv = 2.0 * _INV_SQRT_2PI * self.cm * v
+        self.slope = sinh_rem / v
+        self.shift = params.z * sinh_gap / v
+        np.multiply(params.gamma ** 2 / aa, self.slope, out=v)
+        v *= sinh_gap
+        self.inv_v = _INV_SQRT2 / np.sqrt(v, out=v)
+        self.cm *= 0.5 * aa
+        self.cm /= sinh_rem
+        self.cz = np.divide(0.5 * aa * params.z, sinh_rem, out=sinh_rem)
+        self.cv = np.multiply(2.0 * _INV_SQRT_2PI, self.cm, out=sinh_gap)
+        self.cv *= v
 
     def __getitem__(self, pairs: slice) -> KernelTable:
         """The table over a contiguous run of the time pairs: it holds views
@@ -144,10 +149,6 @@ def drift_kernel(params: OUBParams, t1, x1, t2, x2, table=None, _work=None):
             raise ValueError("with a table, pass t1 = t2 = None and the "
                              "params it was built for")
         return table.evaluate(x1, x2, _work)
-    t1 = np.asarray(t1, dtype=float)
-    x1 = np.asarray(x1, dtype=float)
-    t2 = np.asarray(t2, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
     shape = np.broadcast(t1, x1, t2, x2).shape
     return KernelTable(params, t1, t2).evaluate(x1, x2).reshape(shape)[()]
 

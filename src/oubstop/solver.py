@@ -53,8 +53,7 @@ class ConvergenceError(RuntimeError):
     is the partial BoundarySolution (iterations and final_residual
     describe the failed run): Picard's last iterate, or the solved nodes,
     the others at z. Where solve_boundary's Picard fallback fails too, the
-    message names both failures and .solution is Picard's.
-    """
+    message names both failures and .solution is Picard's."""
 
     def __init__(self, message: str, solution: BoundarySolution):
         super().__init__(message)
@@ -158,8 +157,8 @@ def _riemann_rows(params: OUBParams, nodes: np.ndarray, starts):
     at t_N = 1 is dropped: the kernel is undefined there. A start at or
     past t_{N-1} has an empty row, so np.add.reduceat, which returns the
     entry at the offset for an empty run, needs starts before t_{N-1}.
-    Picard, backward induction and pricing.value all take their quadrature
-    and kernel table from here.
+    The solvers take their quadrature and kernel table from here in the
+    blocks of _row_blocks, pricing.value once per point.
     """
     starts = np.atleast_1d(np.asarray(starts, dtype=float))
     first = np.searchsorted(nodes, starts, side="right")
@@ -174,30 +173,38 @@ def _riemann_rows(params: OUBParams, nodes: np.ndarray, starts):
     return head, j, w, table
 
 
-def _sweep_work(rows):
-    """Work arrays for _picard_sweep on the Riemann rows (head, j, w,
-    table): the row of each entry, which is the index of its start node,
-    and three float arrays with one value per entry."""
-    head, j = rows[0], rows[1]
-    owner = np.repeat(np.arange(head.size), np.diff(head, append=j.size))
-    return owner, np.empty(j.size), np.empty(j.size), np.empty(j.size)
+# Table entries per block of rows (_row_blocks): a budget, not a row count,
+# bounds a block's arrays at any N (64 rows at N = 2000 raised peak by 1/7).
+_BLOCK_ENTRIES = 2 ** 15
 
 
-def _picard_sweep(params: OUBParams, rows, beta: np.ndarray,
-                  work) -> np.ndarray:
+def _row_blocks(params: OUBParams, nodes: np.ndarray):
+    """The Riemann rows of the starts t_0..t_{N-2} in blocks of consecutive
+    rows, of at most _BLOCK_ENTRIES entries or one row, from the last back:
+    pairs (lo, _riemann_rows of t_lo..t_{hi-1}), generated one at a time."""
+    n, hi = nodes.size - 1, nodes.size - 2
+    while hi > 0:
+        lo = hi - 1  # rows lo-1..hi-1 hold (hi-lo+1)(2n-lo-hi)/2 entries
+        while lo and (hi - lo + 1) * (2 * n - lo - hi) <= 2 * _BLOCK_ENTRIES:
+            lo -= 1
+        yield lo, _riemann_rows(params, nodes, nodes[lo:hi])
+        hi = lo
+
+
+def _picard_sweep(params: OUBParams, blocks, beta: np.ndarray,
+                  work: np.ndarray) -> np.ndarray:
     """One full-boundary update of the discretised Volterra equation on the
-    Riemann rows (head, j, w, table) of the starts t_0..t_{N-2}, each of
-    them non-empty. work is _sweep_work(rows), built once for all sweeps;
-    the sweep writes into it and allocates no array longer than the
-    boundary."""
-    head, j, w, table = rows
-    owner, x1, x2, k = work
-    np.take(beta, owner, out=x1)
-    np.take(beta, j, out=x2)
-    drift_kernel(params, None, x1, None, x2, table=table, _work=(x1, x2, k))
-    k *= w
+    row blocks (lo, rows) of _row_blocks. work, two float arrays as long as
+    the longest block, takes a block's beta_j and kernel values."""
     new = np.full_like(beta, params.z)
-    new[:head.size] -= np.add.reduceat(k, head)
+    for lo, (head, j, w, table) in blocks:
+        x1 = np.repeat(beta[lo:lo + head.size], np.diff(head, append=j.size))
+        x2, k = work[0, :j.size], work[1, :j.size]
+        np.take(beta, j, out=x2)
+        drift_kernel(params, None, x1, None, x2, table=table,
+                     _work=(x1, x2, k))
+        k *= w
+        new[lo:lo + head.size] -= np.add.reduceat(k, head)
     return new
 
 
@@ -210,15 +217,16 @@ def picard_solve(params: OUBParams, cfg: SolverConfig = SolverConfig()) -> Bound
     sweep that gives a non-finite boundary. The sweep count
     depends on the problem (N = 500): 15 at alpha = gamma = 1, z = 0;
     225 at alpha = 5, gamma = 1, z = -5 and 205 at alpha = 1, gamma = 0.5,
-    z = -5; 799 at alpha = 5, gamma = 0.5, z = -5.
+    z = -5; 799 at alpha = 5, gamma = 0.5, z = -5. Its row blocks, kept for
+    every sweep, are 8 arrays over N(N-1)/2 entries: 128 MB at N = 2000.
     """
     _require_canonical(params)
     grid = cfg.build_grid()
-    rows = _riemann_rows(params, grid.nodes, grid.nodes[:-2])
-    work = _sweep_work(rows)
+    blocks = list(_row_blocks(params, grid.nodes))
+    work = np.empty((2, max(rows[1].size for _, rows in blocks)))
     beta = np.full(grid.nodes.size, params.z, dtype=float)
     for k in range(1, cfg.max_iter + 1):
-        new = _picard_sweep(params, rows, beta, work)
+        new = _picard_sweep(params, blocks, beta, work)
         residual = float(np.max(np.abs(new - beta)))
         beta = new
         if residual < cfg.eps or not math.isfinite(residual):
@@ -238,11 +246,6 @@ def picard_solve(params: OUBParams, cfg: SolverConfig = SolverConfig()) -> Bound
 # Steps (kernel rows) per node in backward_solve; over the 27-case envelope
 # at N = 10-500 no node takes more than 11.
 _MAX_NODE_STEPS = 40
-# Table entries per block of nodes whose Riemann rows backward_solve builds
-# at once: blocks cut the setup per node, and a budget, not a node count,
-# keeps the block's arrays small at large N (64 nodes at N = 2000 raised
-# peak memory by a seventh).
-_BLOCK_ENTRIES = 2 ** 15
 
 
 def _node_root(h, b0: float, step: float, width: float, tol: float):
@@ -294,13 +297,12 @@ def backward_solve(params: OUBParams, cfg: SolverConfig = SolverConfig()) -> Bou
     the envelope at N >= 120 smooth boundaries move by less than half
     that), to |h| < 1e-9*max(1, gamma), its first step the last node's move.
     _MAX_NODE_STEPS caps the steps (kernel rows) per node; iterations
-    counts them. The Riemann rows (head, j, w, table) of a block of
-    consecutive nodes, up to _BLOCK_ENTRIES entries, are built at once;
-    its nodes are then solved one at a time, from the last, each on slices
-    of them. Of cfg it reads n only. At far pins h can stay just below
-    zero near the boundary, its nearest root far off. A node with no root
-    in its window, or out of steps, raises ConvergenceError (with the
-    partial solution) instead.
+    counts them. Picard's row blocks (_row_blocks) are built one at a
+    time, from the last, their nodes solved from the last, each on slices
+    of the block's rows (head, j, w, table). Of cfg it reads n only. At far
+    pins h can stay just below zero near the boundary, its nearest root far
+    off. A node with no root in its window, or out of steps, raises
+    ConvergenceError (with the partial solution) instead.
     """
     _require_canonical(params)
     grid = cfg.build_grid()
@@ -309,12 +311,9 @@ def backward_solve(params: OUBParams, cfg: SolverConfig = SolverConfig()) -> Bou
     beta = np.full(n + 1, z, dtype=float)
     step = params.gamma * math.sqrt(t[n - 1] - t[n - 2])
     total, worst = 0, 0.0
-    block = max(1, _BLOCK_ENTRIES // n)
-    for top in range(n - 2, -1, -block):
-        low = max(top - block + 1, 0)
-        head, j, w, table = _riemann_rows(params, t, t[low:top + 1])
+    for low, (head, j, w, table) in _row_blocks(params, t):
         ends = np.append(head[1:], j.size)
-        for i in range(top, low - 1, -1):
+        for i in range(low + head.size - 1, low - 1, -1):
             row = slice(head[i - low], ends[i - low])
             x2, wi, ti = beta[j[row]], w[row], table[row]
 
@@ -328,12 +327,12 @@ def backward_solve(params: OUBParams, cfg: SolverConfig = SolverConfig()) -> Bou
             worst = max(worst, abs(hb))
             if error is not None:
                 sol = BoundarySolution(grid=grid, beta=beta, iterations=total,
-                                       final_residual=worst,
-                                       method="backward")
+                                       final_residual=worst, method="backward")
                 raise ConvergenceError(f"backward induction found no root "
                                        f"at node {i}: {error}", sol)
             beta[i] = b
             step = max(abs(b - beta[i + 1]), tol)
+        del j, w, table, wi, ti, h  # free the block before the next is built
 
     return BoundarySolution(grid=grid, beta=beta, iterations=total,
                             final_residual=worst, method="backward")

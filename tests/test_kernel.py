@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from oubstop import (
     original_to_transformed,
 )
 from oubstop.bridge import cond_mean, cond_std
-from oubstop.kernel import density
+from oubstop.kernel import KernelTable, density
 from oubstop.transform import upsilon
 
 from mirror import gain_t, survival, transformed_integrand
@@ -125,6 +126,46 @@ def test_kernel_broadcasts(std_params):
     assert out.shape == (3,)
     for i in range(3):
         assert out[i] == drift_kernel(p, 0.0, 0.0, float(t2[i]), float(x2[i]))
+
+
+def _reference_table(params, t1, t2):
+    """KernelTable's coefficients as written before it computed them in
+    place: one fresh array per operation."""
+    t1, t2 = np.atleast_1d(np.asarray(t1, dtype=float),
+                           np.asarray(t2, dtype=float))
+    aa = abs(params.alpha)
+    rem = aa * (1.0 - t2)
+    sinh_rem = np.sinh(rem)
+    sinh_gap = np.sinh(aa * (t2 - t1))
+    sinh_start = np.sinh(aa * (1.0 - t1))
+    slope = sinh_rem / sinh_start
+    shift = params.z * sinh_gap / sinh_start
+    v = np.sqrt(params.gamma ** 2 / aa * slope * sinh_gap)
+    inv_v = 1.0 / math.sqrt(2.0) / v
+    cz = 0.5 * aa * params.z / sinh_rem
+    cm = 0.5 * aa * np.cosh(rem) / sinh_rem
+    cv = 2.0 * (1.0 / math.sqrt(2.0 * math.pi)) * cm * v
+    return dict(slope=slope, shift=shift, inv_v=inv_v, cz=cz, cm=cm, cv=cv)
+
+
+def test_kernel_table_matches_reference_formula():
+    # the in-place constructor keeps every operation and its order, so
+    # every coefficient is the formula's bit for bit; direct == tabled
+    # checks cannot see this, both sides go through the constructor
+    rng = np.random.default_rng(23)
+    t2 = np.concatenate([rng.uniform(0.0, 1.0, 400),
+                         [np.nextafter(1.0, 0.0), 1.0 - 1e-12, 0.5, 0.999]])
+    t1 = t2 * rng.uniform(0.0, 1.0, t2.size)
+    t1[-2:] = t2[-2:] - 1e-12
+    t1[-4] = 0.0
+    for alpha, gamma, z in itertools.product(
+            (1e-4, 0.5, -2.0, 5.0, 700.0), (0.25, 2.0), (-10.0, 0.0, 5.0)):
+        p = OUBParams(alpha=alpha, gamma=gamma, z=z)
+        for s1, s2 in ((t1, t2), (0.0, t2[:-4]), (t1[:3], 0.999)):
+            table = KernelTable(p, s1, s2)
+            for name, want in _reference_table(p, s1, s2).items():
+                got = getattr(table, name)
+                assert np.array_equal(got, np.broadcast_to(want, got.shape))
 
 
 def test_transformed_integrand_threshold_limits():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from oubstop import (
     value,
 )
 from oubstop import solver
-from oubstop.solver import _picard_sweep, _riemann_rows, _sweep_work
+from oubstop.solver import _picard_sweep, _riemann_rows
 
 
 def _reference_sweep(params, rows, beta):
@@ -356,6 +357,53 @@ def test_backward_block_size_changes_nothing(monkeypatch):
             assert (k, r, m) == (k0, r0, m0)
 
 
+def _picard_outcomes():
+    out = []
+    for alpha, gamma, z, n, max_iter in (
+            (1.0, 0.5, -5.0, 20, 2000), (1.0, 0.5, -5.0, 500, 2000),
+            (1.0, 1.0, 0.0, 80, 2000), (2.0, 1.0, 0.0, 80, 2000),
+            (-2.0, 1.0, 0.0, 80, 2000), (1.0, 1.0, 0.0, 80, 1),
+            (800.0, 1.0, 0.0, 50, 2000)):
+        p = OUBParams(alpha=alpha, gamma=gamma, z=z)
+        cfg = SolverConfig(n=n, max_iter=max_iter)
+        try:
+            with np.errstate(all="ignore"):  # sinh(800) overflows
+                sol, msg = picard_solve(p, cfg), None
+        except ConvergenceError as err:
+            sol, msg = err.solution, str(err)
+        out.append((sol.beta, sol.iterations, sol.final_residual, msg))
+    return out
+
+
+def test_picard_block_size_changes_nothing(monkeypatch):
+    # Picard sweeps backward induction's row blocks; how many rows a block
+    # holds changes no bit of the boundary, the counts or the errors
+    default = _picard_outcomes()
+    assert sum(msg is not None for *_, msg in default) == 2
+    for entries in (1, 10 ** 9):  # one row per block, one block
+        monkeypatch.setattr(solver, "_BLOCK_ENTRIES", entries)
+        for (b0, k0, r0, m0), (b, k, r, m) in zip(default,
+                                                  _picard_outcomes()):
+            assert np.array_equal(b, b0, equal_nan=True)
+            assert np.array_equal((k, r), (k0, r0), equal_nan=True)
+            assert m == m0
+
+
+def test_picard_memory_is_bounded_by_its_table():
+    # the blocks keep w, the six table coefficients and the int64 j of the
+    # N(N-1)/2 entries; nothing else as long as them may be held at once
+    p = OUBParams(alpha=1.0, gamma=0.5, z=-5.0)
+    cfg = SolverConfig(n=500)
+    kept = 8 * 8 * cfg.n * (cfg.n - 1) // 2
+    tracemalloc.start()
+    try:
+        picard_solve(p, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * kept
+
+
 @pytest.mark.parametrize("alpha", (0.01, 1.0, 5.0))
 @pytest.mark.parametrize("gamma", (0.5, 1.0, 2.0))
 @pytest.mark.parametrize("z", (-5.0, 0.0, 5.0))
@@ -369,7 +417,8 @@ def test_operator_sweep_matches_row_by_row(alpha, gamma, z):
     beta = z + 0.84 * gamma * np.sqrt(1.0 - t)
     beta[-1] = z
     riemann = _riemann_rows(p, t, t[:-2])
-    swept = _picard_sweep(p, riemann, beta, _sweep_work(riemann))
+    swept = _picard_sweep(p, [(0, riemann)], beta,
+                          np.empty((2, riemann[1].size)))
     rows = [z - float(np.dot(drift_kernel(p, t[i], beta[i], t[i + 1:n],
                                           beta[i + 1:n]), dt[i:n - 1]))
             for i in range(n - 1)]
@@ -399,10 +448,10 @@ def test_sweep_work_arrays_change_nothing(n):
     p = OUBParams(alpha=1.0, gamma=0.5, z=-5.0)
     t = SolverConfig(n=n).build_grid().nodes
     rows = _riemann_rows(p, t, t[:-2])
-    work = _sweep_work(rows)
+    work = np.empty((2, rows[1].size))
     got = want = np.full(t.size, p.z)
     for _ in range(30):
-        got = _picard_sweep(p, rows, got, work)
+        got = _picard_sweep(p, [(0, rows)], got, work)
         want = _reference_sweep(p, rows, want)
         assert np.array_equal(got, want)
 
