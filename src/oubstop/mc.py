@@ -18,14 +18,14 @@ identical for any worker count. Paths come in antithetic twins: paths 2i
 and 2i+1 of a block take the step normals +Z and -Z (Glasserman 2004,
 section 4.2), so a step draws one normal per pair and each path keeps its
 exact Gaussian law; a last odd path takes +Z alone. Each block walks all
-its paths one step at a time, drops paths once they have stopped and
-draws the same numbers per step whichever paths are left, so perturbation
-tests reuse the same draws across boundary shifts (common random
-numbers), making the suboptimality comparison a low-variance paired test.
-The step loop only finds the step in which each path stops; crossing times
-and payoffs are computed for many stops at once, whenever a block drops
-its stopped paths and after its last step. The loop writes into work
-arrays that a block allocates once.
+its paths one step at a time and draws the same numbers per step whichever
+paths are left, so perturbation tests reuse the same draws across boundary
+shifts (common random numbers), making the suboptimality comparison a
+low-variance paired test. The step loop only finds the step in which each
+path stops; crossing times and payoffs are computed for many stops at
+once, in batches and after the last step. A block drops its stopped paths
+only once they are half of its paths, since copying its work arrays costs
+more than walking a few stopped paths.
 
 Twins are dependent, so a standard error is the larger of the formula for
 independent paths and the one over independent units (a twin pair or a
@@ -215,11 +215,11 @@ def _block_payoffs(x0: float, coef, var: np.ndarray, levels: np.ndarray,
 
     The step loop only decides which (level, path) pairs stop in which
     step, and keeps the step and both gaps of each. Their crossing times
-    and payoffs are computed together: whenever the loop drops stopped
-    paths, which it does once the stops since the last drop reach an
-    eighth of its rows, and after its last step. The loop writes into work
-    arrays allocated up front; dropping paths compresses the kept entries
-    into the front of free ones.
+    and payoffs are computed together: at a payment, once the stops since
+    the last one reach an eighth of the rows, and after the last step. A
+    payment also ends the loop once every row has stopped, or drops the
+    stopped rows once they are at least half of them; a drop allocates new
+    (level, row) work arrays, which the loop reuses in between.
     """
     slope, shift, sd = coef
     n_lev = levels.shape[1]
@@ -238,7 +238,7 @@ def _block_payoffs(x0: float, coef, var: np.ndarray, levels: np.ndarray,
     rows = np.arange(size)
     pairs = size // 2
     draws = np.empty(size - pairs)
-    noise = step = np.empty(size)  # step: noise[rows], once rows are dropped
+    noise = np.empty(size)
     x = np.full(size, x0, dtype=float)
     gap = levels[0][:, None] - x
     hazard = np.zeros((n_lev, size))
@@ -251,9 +251,8 @@ def _block_payoffs(x0: float, coef, var: np.ndarray, levels: np.ndarray,
             rng.standard_normal(out=draws)
             noise[0::2] = draws
             np.negative(draws[:pairs], out=noise[1::2])
-            if step is not noise:
-                np.take(noise, rows, out=step)
-            _advance(x, k, slope, shift, sd, step)
+            _advance(x, k, slope, shift, sd,
+                     noise if rows.size == size else noise[rows])
             np.subtract(levels[k + 1][:, None], x, out=new)
             np.multiply(gap, new, out=prod)
             np.less(prod, reach[k], out=near_mask)
@@ -274,36 +273,22 @@ def _block_payoffs(x0: float, coef, var: np.ndarray, levels: np.ndarray,
             if 8 * stops >= rows.size:
                 _pay_crossings(pay, hits, levels, var, gauss, unif)
                 hits = []
+                stops = 0
                 keep = live.any(axis=0)
                 if not keep.any():
                     break
-                # compress, unlike boolean indexing, keeps the (level, row)
-                # arrays C-contiguous, so flat take/put on them stay cheap.
-                # Each goes to the front of its free work array, whose
-                # place its old memory then takes.
-                rows, x = rows[keep], x[keep]
-                shape = (n_lev, rows.size)
-                gap, new = (np.compress(keep, gap, axis=1,
-                                        out=_front(new, shape)),
-                            _front(gap, shape))
-                hazard, prod = (np.compress(keep, hazard, axis=1,
-                                            out=_front(prod, shape)),
-                                _front(hazard, shape))
-                live, near_mask = (np.compress(keep, live, axis=1,
-                                               out=_front(near_mask, shape)),
-                                   _front(live, shape))
-                step = np.empty(rows.size) if step is noise \
-                    else step[:rows.size]
-                stops = 0
+                if 2 * np.count_nonzero(keep) <= rows.size:  # half dead
+                    # compress, unlike boolean indexing, keeps the (level,
+                    # row) arrays C-contiguous, so flat take/put on them
+                    # stay cheap
+                    rows, x = rows[keep], x[keep]
+                    gap, hazard, live = (np.compress(keep, a, axis=1)
+                                         for a in (gap, hazard, live))
+                    new, prod = np.empty_like(gap), np.empty_like(gap)
+                    near_mask = np.empty_like(live)
     if hits:
         _pay_crossings(pay, hits, levels, var, gauss, unif)
     return pay
-
-
-def _front(buf: np.ndarray, shape) -> np.ndarray:
-    """A C-contiguous view of the given shape on the front of buf's
-    memory."""
-    return buf.reshape(-1)[:math.prod(shape)].reshape(shape)
 
 
 def _pay_crossings(pay, hits, levels, var, gauss, unif) -> None:

@@ -1,13 +1,15 @@
 """The Monte Carlo block loop as it stood before its crossing times were
 batched, a test oracle.
 
-oubstop.mc._block_payoffs walks a block of paths one step at a time with
-work arrays that it reuses, records each step's stops and times their
-crossings in batches. This module keeps the loop that allocated fresh
-arrays at every step and timed each step's crossings within it. Both draw
-the same numbers in the same order and do the same floating-point
-operations on each path, so tests assert that their payoffs are
-identical, bit for bit.
+oubstop.mc._block_payoffs walks a block of paths one step at a time,
+records each step's stops and times their crossings in batches; it drops
+stopped paths only once they are half of the paths left, and until then
+reuses its arrays from step to step. This module keeps the loop that
+allocated fresh arrays at every step, timed each step's crossings within
+it and dropped stopped paths whenever the stops since the last drop
+reached an eighth of the paths left. Both draw the same numbers in the
+same order and do the same floating-point operations on each path, so
+tests assert that their payoffs are identical, bit for bit.
 """
 from __future__ import annotations
 

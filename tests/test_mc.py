@@ -307,12 +307,15 @@ def test_block_draws_one_normal_per_twin_pair(std_params, std_solution, size):
 @pytest.mark.parametrize("alpha,gamma,z", [
     (1.0, 1.0, 0.0), (5.0, 1.0, -5.0), (1.0, 2.0, 5.0), (0.01, 1.0, 0.0)])
 def test_block_payoffs_match_reference(alpha, gamma, z, n):
-    # the block loop with reused work arrays and crossings timed in
-    # batches gives the payoffs of the loop that timed them step by step
+    # the block loop that times crossings in batches and drops stopped
+    # rows only once half are dead gives the payoffs of the loop that timed
+    # them step by step and dropped rows at every eighth of stops
     # (tests/mc_reference.py), bit for bit: from below, at and above the
     # boundary, from t0 > 0, at +-inf shifts, on block sizes with and
-    # without a last odd row, and on levels that stop every path early,
-    # which leaves the loop by its break
+    # without a last odd row, on levels that stop every path early, which
+    # leaves the loop by its break, and on finite levels from above the
+    # boundary, where more than half the rows stop in every level, so the
+    # loop drops rows and walks the rest
     from oubstop.mc import _block_payoffs, _monitor_nodes, _step_coefficients
     params = OUBParams(alpha=alpha, gamma=gamma, z=z)
     sol = solve_boundary(params, SolverConfig(n=n)).canonical
@@ -327,8 +330,12 @@ def test_block_payoffs_match_reference(alpha, gamma, z, n):
     nodes, bounds = _monitor_nodes(sol, 0.0)
     plunge = np.where(nodes < 0.5, 0.0, -1e3 * gamma)
     cases.append((nodes, (bounds + plunge)[:, None] + deltas[:3], z, full))
+    finite = (nodes, bounds[:, None] + deltas[:3], bounds[0] + 0.1 * gamma,
+              (16384,))
+    cases.append(finite)
     stopped_early = False
-    for nodes, levels, x0, sizes in cases:
+    for case in cases:
+        nodes, levels, x0, sizes = case
         coef = _step_coefficients(params, nodes)
         var = gamma ** 2 * np.diff(nodes)
         for size in sizes:
@@ -339,6 +346,8 @@ def test_block_payoffs_match_reference(alpha, gamma, z, n):
             assert np.array_equal(got, want)
             if levels.shape[1] == 3:
                 stopped_early |= bool(np.all(got != z))
+            if case is finite:
+                assert 2 * np.count_nonzero(np.all(got != z, axis=0)) > size
     assert stopped_early
 
 
