@@ -82,7 +82,8 @@ class MCConfig:
     def __post_init__(self) -> None:
         for name, low in (("paths", 1), ("seed", 0), ("workers", 1)):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < low:
+            if (not isinstance(value, (int, np.integer))
+                    or isinstance(value, bool) or value < low):
                 raise ValueError(f"{name} must be an integer >= {low}")
 
 

@@ -43,6 +43,11 @@ def test_config_validation():
         MCConfig(paths=10, seed=-3)
     with pytest.raises(ValueError, match="seed"):
         MCConfig(paths=100, seed=1.5)
+    # bool is an int subclass: True would run one path on one worker
+    for field, low in (("paths", 1), ("seed", 0), ("workers", 1)):
+        with pytest.raises(ValueError,
+                           match=f"^{field} must be an integer >= {low}$"):
+            MCConfig(**{"paths": 10, field: True})
     assert MCConfig(paths=np.int64(10), workers=np.int32(2)).paths == 10
     assert MCConfig(paths=10, seed=np.int64(0)).seed == 0
 

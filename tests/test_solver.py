@@ -35,6 +35,17 @@ def _reference_sweep(params, rows, beta):
     return new
 
 
+def _row_residual(p, t, b):
+    """The largest residual over rows 0..N-2 of the discrete system for the
+    boundary b on the nodes t, each row rebuilt from the public kernel."""
+    n = t.size - 1
+    dt = np.diff(t)
+    return max(
+        abs(p.z - float(np.dot(drift_kernel(p, t[i], b[i], t[i + 1:n],
+                                            b[i + 1:n]), dt[i:n - 1])) - b[i])
+        for i in range(n - 1))
+
+
 def test_log_partition_endpoints_and_midpoint():
     grid = SolverConfig(n=500).build_grid()
     assert grid.nodes[0] == 0.0
@@ -69,7 +80,9 @@ def test_solver_config_validation():
     # a fractional n gave a half-width last cell, a fractional max_iter a
     # TypeError from the Picard fallback, eps = inf a first sweep taken as
     # converged
-    for field, bad in (("n", 500.5), ("max_iter", 2.5), ("eps", math.inf)):
+    # bool is an int subclass: max_iter=True would run one sweep
+    for field, bad in (("n", 500.5), ("max_iter", 2.5), ("eps", math.inf),
+                       ("n", True), ("max_iter", True)):
         with pytest.raises(ValueError, match=f"^{field} must be"):
             SolverConfig(**{field: bad})
     assert SolverConfig(n=np.int64(60)).build_grid().n == 60
@@ -170,13 +183,7 @@ def test_backward_bisection_meets_tolerance(alpha, gamma, z):
             assert sol.final_residual <= tol
             assert sol.iterations <= 40 * (n - 1)
             assert b[-2] == b[-1] == z
-            dt = np.diff(t)
-            residual = max(
-                abs(z - float(np.dot(drift_kernel(p, t[i], b[i], t[i + 1:n],
-                                                  b[i + 1:n]), dt[i:n - 1]))
-                    - b[i])
-                for i in range(n - 1))
-            assert residual <= 2.0 * tol
+            assert _row_residual(p, t, b) <= 2.0 * tol
             if z == 0.0:
                 assert np.max(np.abs(b - picard_solve(p, cfg).beta)) < 5e-3
         production = solve_boundary(p, cfg).canonical
@@ -207,6 +214,50 @@ def test_solve_boundary_falls_back_to_picard():
     sol = solve_boundary(p, cfg).canonical
     assert sol.method == "picard"
     assert np.array_equal(sol.beta, picard_solve(p, cfg).beta)
+
+
+# The grid problems (alpha, gamma, z) of alpha in {0.01, 0.5, 1, 2, 3, 5},
+# gamma in {0.25, 0.5, 1, 2}, z in {-10, -5, -2, 0, 2, 5, 10} where, at
+# N = 500, backward induction finds no root and solve_boundary falls back.
+FALLBACKS_N500 = ((0.5, 0.25, -10.0), (0.5, 0.25, -5.0), (0.5, 0.5, -10.0),
+                  (1.0, 0.25, -5.0), (1.0, 0.25, -2.0), (1.0, 0.5, -10.0),
+                  (1.0, 0.5, -5.0), (1.0, 1.0, -10.0), (2.0, 1.0, -5.0),
+                  (2.0, 2.0, -10.0))
+
+
+@pytest.mark.parametrize("alpha,gamma,z", FALLBACKS_N500)
+def test_picard_fallback_contract(alpha, gamma, z):
+    # the fallback's boundary solves every row of the discrete system,
+    # rebuilt from the public kernel, to eps, without spikes, in at most
+    # 100 sweeps (unmixed Picard took 121-649). Without its safeguard the
+    # mixing misses eps on the rows at (0.5, 0.25, -10); without its ridge
+    # it takes 178 sweeps at (1, 0.5, -10).
+    p = OUBParams(alpha=alpha, gamma=gamma, z=z)
+    cfg = SolverConfig(n=500)
+    sol = solve_boundary(p, cfg).canonical
+    assert sol.method == "picard"
+    assert sol.iterations <= 100
+    t, b = sol.grid.nodes, sol.beta
+    assert _row_residual(p, t, b) <= cfg.eps
+    assert np.all(np.abs(np.diff(b)) < 1.5 * gamma * np.sqrt(np.diff(t)))
+    if (alpha, gamma, z) == (1.0, 0.5, -5.0):
+        # unmixed Picard's V(0, z); both stop within about eps of the
+        # discrete solution
+        v = value(p, sol, ValueSurfaceQuery(t=0.0, x=z))
+        assert abs(v - -4.39687) <= 1e-4
+
+
+@pytest.mark.parametrize("alpha,gamma,z,unmixed", [
+    (2.0, 0.25, -2.0, 207), (3.0, 0.5, -2.0, 101), (5.0, 1.0, -5.0, 225),
+    (5.0, 0.5, -5.0, 799)])
+def test_picard_mixing_takes_no_more_sweeps(alpha, gamma, z, unmixed):
+    # off the fallback set too, the mixed iteration converges in no more
+    # sweeps than unmixed Picard; without its safeguard it fails at the
+    # first problem and takes 409 at the third, without its ridge 334 at
+    # the second
+    sol = picard_solve(OUBParams(alpha=alpha, gamma=gamma, z=z),
+                       SolverConfig(n=500))
+    assert sol.iterations <= unmixed
 
 
 def test_solve_boundary_failure_keeps_both_errors():
@@ -456,23 +507,48 @@ def test_sweep_work_arrays_change_nothing(n):
         assert np.array_equal(got, want)
 
 
+def _reference_mixing(p, cfg):
+    """Anderson-mixed Picard as a plain loop on the allocating sweep over
+    all rows at once, the differences kept as the rows of two arrays. A
+    mixed iterate whose change is not smaller than the last empties both,
+    and the next difference is taken between the two sweeps after it."""
+    t = cfg.build_grid().nodes
+    rows = _riemann_rows(p, t, t[:-2])
+    x = np.full(t.size, p.z)
+    dg = df = np.empty((0, t.size))
+    base = None
+    for k in range(1, cfg.max_iter + 1):
+        g = _reference_sweep(p, rows, x)
+        f = g - x
+        residual = float(np.max(np.abs(f)))
+        if residual < cfg.eps:
+            return g, k, residual
+        x = g
+        if len(df) and residual >= base[2]:
+            dg = df = np.empty((0, t.size))
+            base = None
+            continue
+        if base is not None:
+            dg = np.vstack([dg, g - base[0]])[-solver._MIX_DEPTH:]
+            df = np.vstack([df, f - base[1]])[-solver._MIX_DEPTH:]
+        base = g, f, residual
+        if len(df):
+            gram = df @ df.T
+            gram += solver._MIX_RIDGE * gram.diagonal().max() * np.eye(len(df))
+            x = g - np.linalg.solve(gram, df @ f) @ dg
+    raise AssertionError("the reference did not converge")
+
+
 @pytest.mark.parametrize("alpha,gamma,z,sweeps", [
-    (1.0, 0.5, -5.0, 205), (1.0, 1.0, 0.0, 15)])
+    (1.0, 0.5, -5.0, 25), (1.0, 1.0, 0.0, 12)])
 def test_picard_solve_matches_reference_sweeps(alpha, gamma, z, sweeps):
-    # picard_solve, with its work arrays, stops after as many sweeps and
-    # on the same boundary as the allocating sweep run to the same rule
+    # picard_solve, with its row blocks, work arrays and lists of
+    # differences, stops after as many sweeps and on the same boundary as
+    # the reference loop (unmixed Picard takes 205 and 15 sweeps)
     p = OUBParams(alpha=alpha, gamma=gamma, z=z)
     cfg = SolverConfig(n=500)
     sol = picard_solve(p, cfg)
-    t = cfg.build_grid().nodes
-    rows = _riemann_rows(p, t, t[:-2])
-    beta = np.full(t.size, z)
-    for k in range(1, cfg.max_iter + 1):
-        new = _reference_sweep(p, rows, beta)
-        residual = float(np.max(np.abs(new - beta)))
-        beta = new
-        if residual < cfg.eps:
-            break
+    beta, k, residual = _reference_mixing(p, cfg)
     assert sol.iterations == k == sweeps
     assert sol.final_residual == residual
     assert np.array_equal(sol.beta, beta)
