@@ -33,6 +33,7 @@ from .solver import (
     SolvedBoundary,
     SolverConfig,
     TimeGrid,
+    _SHEPP,
     solve_boundary,
 )
 from .solver import picard_solve  # noqa: F401
@@ -40,7 +41,7 @@ from .transform import envelope, envelope_deriv, make_context, original_to_trans
 
 __all__ = ["main", "build_parser"]
 
-_BB_SLOPE = 0.8399  # Brownian-bridge boundary constant z + L*sqrt(1-t)
+_BB_SLOPE = _SHEPP  # Brownian-bridge boundary constant z + L*sqrt(1-t)
 
 _FIG1_ALPHAS = (0.01, -0.01, 1.0, -1.0, 5.0, -5.0)
 _FIG2_GAMMAS = (0.5, 1.0, 2.0)

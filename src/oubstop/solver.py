@@ -12,9 +12,9 @@ approaches 1. Two solution schemes are provided:
 * Backward induction, the production path: the system is triangular, so
   one scalar root per node, from beta(1) = z back to t_0, solves it exactly.
 * Picard iteration, the paper's scheme: the whole boundary, from the
-  constant z, is updated at once until the sup-norm change falls below the
-  tolerance. The cross-check, and the production path where backward
-  induction finds no root near a node (see backward_solve).
+  drift-sign bound, is updated at once until the sup-norm change falls
+  below the tolerance. The cross-check, and the production path where
+  backward induction finds no root near a node (see backward_solve).
 
 With the dropped addend both schemes force beta(t_{N-1}) = z; the genuine
 unknowns are nodes 0..N-2.
@@ -87,8 +87,8 @@ class TimeGrid:
 class SolverConfig:
     """Solver knobs; defaults follow the reference setup (N = 500,
     logarithmic mesh). backward_solve reads n only: eps (1e-4) is
-    picard_solve's tolerance and max_iter caps its sweeps (up to 318 over
-    the documented envelope at N = 500, 420 over the 168 grid problems)."""
+    picard_solve's tolerance and max_iter caps its sweeps (up to 254 over
+    the documented envelope at N = 500, 330 over the 168 grid problems)."""
 
     n: int = 500
     eps: float = 1e-4
@@ -211,49 +211,48 @@ def _picard_sweep(params: OUBParams, blocks, beta: np.ndarray,
 
 # Differences that picard_solve's Anderson mixing keeps (Walker & Ni 2011).
 _MIX_DEPTH = 5
-# Ridge on the mixing's normal equations, relative to their largest diagonal
-# entry: it bounds the mixing coefficients. Of 0, 1e-4, 3e-3, 1e-2 and 3e-2,
-# 1e-2 alone never takes more sweeps than unmixed Picard over the 168 grid
-# problems at N = 500; with none, the fallback at alpha = 1, gamma = 0.5,
-# z = -10 takes 178 sweeps and moves 1.6 gamma sqrt(dt) at a node.
-_MIX_RIDGE = 1e-2
+# Shepp's constant L: near the horizon beta ~ z + L*gamma*sqrt(1 - t).
+_SHEPP = 0.8399
 
 
 def picard_solve(params: OUBParams, cfg: SolverConfig = SolverConfig()) -> BoundarySolution:
     """Solve the discretised free-boundary equation by Picard iteration,
     Anderson-mixed.
 
-    Starts from the constant boundary z. Each sweep G maps an iterate x to
-    G(x); the run stops at the first sweep whose change sup|G(x) - x| is
-    below cfg.eps and returns G(x), that change being final_residual.
-    Otherwise the next iterate is G(x) less a combination of the last
-    _MIX_DEPTH differences of sweep outputs, its coefficients the
-    ridge-regularised least-squares fit of G(x) - x by the differences of
+    Starts from max(z/cosh(alpha(1 - t)), z + _SHEPP*gamma*sqrt(1 - t)),
+    z at t_{N-1} and t_N: the drift-sign bound, below which waiting pays,
+    or Shepp's asymptote where that is higher. Each sweep G maps an
+    iterate x to G(x); the run stops at the first sweep whose change
+    sup|G(x) - x| is below cfg.eps and returns x, that change being its
+    own residual, final_residual. Otherwise the next iterate is G(x) less
+    a combination of the last _MIX_DEPTH differences of sweep outputs, its
+    coefficients the least-squares fit of G(x) - x by the differences of
     sweep changes (Anderson mixing). Where a mixed iterate's change is not
     smaller than the previous one, that iterate and the differences are
     dropped: G(x) itself is the next iterate, and the differences start
     afresh from its sweep. iterations counts the sweeps, max_iter caps
-    them. Raises ConvergenceError (with the last sweep's output attached)
-    if max_iter is exhausted, or at the first sweep that gives a
-    non-finite boundary. The sweep count depends on the problem (N = 500;
-    unmixed Picard in brackets): 12 (15) at alpha = gamma = 1, z = 0; 25
-    (205) at alpha = 1, gamma = 0.5, z = -5; 122 (225) at alpha = 5,
-    gamma = 1, z = -5; 318 (799) at alpha = 5, gamma = 0.5, z = -5. Its
-    row blocks, kept for every sweep, are 8 arrays over N(N-1)/2 entries:
-    128 MB at N = 2000.
+    them. Raises ConvergenceError, with the last iterate swept and its
+    change attached, if max_iter is exhausted, or at the first sweep that
+    gives a non-finite boundary. At N = 500 it takes 10 sweeps at alpha =
+    gamma = 1, z = 0, 28 at alpha = 1, gamma = 0.5, z = -5, at most 330
+    over the 168 grid problems. Its row blocks, kept for every sweep, are
+    8 arrays over N(N-1)/2 entries: 128 MB at N = 2000.
     """
     _require_canonical(params)
     grid = cfg.build_grid()
-    blocks = list(_row_blocks(params, grid.nodes))
+    t, z = grid.nodes, params.z
+    blocks = list(_row_blocks(params, t))
     work = np.empty((2, max(rows[1].size for _, rows in blocks)))
-    x = np.full(grid.nodes.size, params.z, dtype=float)
+    x = np.maximum(z / np.cosh(params.alpha * (1.0 - t)),
+                   z + _SHEPP * params.gamma * np.sqrt(1.0 - t))
+    x[-2:] = z
     dg, df = [], []  # differences of sweep outputs and of sweep changes
     last = None  # the previous sweep's (output, change, sup-norm change)
     for k in range(1, cfg.max_iter + 1):
         g = _picard_sweep(params, blocks, x, work)
         f = g - x
         residual = float(np.max(np.abs(f)))
-        if residual < cfg.eps or not math.isfinite(residual):
+        if not cfg.eps <= residual < math.inf or k == cfg.max_iter:
             break
         x = g
         if df and not residual < last[2]:  # swept a mixed iterate, no better
@@ -268,11 +267,9 @@ def picard_solve(params: OUBParams, cfg: SolverConfig = SolverConfig()) -> Bound
                 del dg[0], df[0]
         last = g, f, residual
         if df:
-            d = np.array(df)
-            gram = d @ d.T
-            gram.flat[::len(df) + 1] += _MIX_RIDGE * gram.diagonal().max()
-            x = g - np.linalg.solve(gram, d @ f) @ np.array(dg)
-    sol = BoundarySolution(grid=grid, beta=g, iterations=k,
+            c = np.linalg.lstsq(np.array(df).T, f, rcond=None)[0]
+            x = g - c @ np.array(dg)
+    sol = BoundarySolution(grid=grid, beta=x, iterations=k,
                            final_residual=residual, method="picard")
     if not math.isfinite(residual):
         raise ConvergenceError(f"Picard sweep {k} gave a non-finite "

@@ -404,8 +404,8 @@ def test_verify_constant_paired_difference_is_certain(paths, tmp_path):
 
 
 def test_solve_far_pin_strong_pull(capsys):
-    # Picard runs out of its 500 sweeps here; the node-by-node solve
-    # reaches its tolerance at every node
+    # Picard takes 254 sweeps here; the node-by-node solve reaches its
+    # tolerance at every node
     assert run_cli("solve", "--alpha", "5", "--gamma", "0.5", "--z", "-5",
                    "--n", "500") == 0
     err = capsys.readouterr().err
@@ -446,7 +446,7 @@ def test_convergence_error_names_both_solvers(capsys):
 
 def test_solve_picard_fallback_within_default_sweeps(capsys):
     # at the edge of the documented envelope backward induction falls back
-    # and Picard needs 540 sweeps
+    # and Picard needs 32 sweeps (540 unmixed from the constant z)
     assert run_cli("solve", "--alpha", "1", "--gamma", "0.25", "--z",
                    "-5") == 0
     assert "method=picard" in capsys.readouterr().err

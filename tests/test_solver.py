@@ -229,16 +229,18 @@ FALLBACKS_N500 = ((0.5, 0.25, -10.0), (0.5, 0.25, -5.0), (0.5, 0.5, -10.0),
 def test_picard_fallback_contract(alpha, gamma, z):
     # the fallback's boundary solves every row of the discrete system,
     # rebuilt from the public kernel, to eps, without spikes, in at most
-    # 100 sweeps (unmixed Picard took 121-649). Without its safeguard the
-    # mixing misses eps on the rows at (0.5, 0.25, -10); without its ridge
-    # it takes 178 sweeps at (1, 0.5, -10).
+    # 100 sweeps (unmixed Picard from the constant z took 121-649). The
+    # returned boundary is the iterate whose sweep changed it by less than
+    # eps, so that change, final_residual, is its row residual.
     p = OUBParams(alpha=alpha, gamma=gamma, z=z)
     cfg = SolverConfig(n=500)
     sol = solve_boundary(p, cfg).canonical
     assert sol.method == "picard"
     assert sol.iterations <= 100
     t, b = sol.grid.nodes, sol.beta
-    assert _row_residual(p, t, b) <= cfg.eps
+    residual = _row_residual(p, t, b)
+    assert abs(residual - sol.final_residual) <= 1e-12
+    assert residual <= cfg.eps
     assert np.all(np.abs(np.diff(b)) < 1.5 * gamma * np.sqrt(np.diff(t)))
     if (alpha, gamma, z) == (1.0, 0.5, -5.0):
         # unmixed Picard's V(0, z); both stop within about eps of the
@@ -252,12 +254,38 @@ def test_picard_fallback_contract(alpha, gamma, z):
     (5.0, 0.5, -5.0, 799)])
 def test_picard_mixing_takes_no_more_sweeps(alpha, gamma, z, unmixed):
     # off the fallback set too, the mixed iteration converges in no more
-    # sweeps than unmixed Picard; without its safeguard it fails at the
-    # first problem and takes 409 at the third, without its ridge 334 at
-    # the second
+    # sweeps than unmixed Picard from the constant z (it takes 11, 23, 38
+    # and 254); started at the constant z, without the ridge it had
+    # there, it takes 413 at the second
     sol = picard_solve(OUBParams(alpha=alpha, gamma=gamma, z=z),
                        SolverConfig(n=500))
     assert sol.iterations <= unmixed
+
+
+@pytest.mark.parametrize("alpha,gamma,z", [
+    (3.0, 1.0, -5.0), (3.0, 2.0, -10.0), (5.0, 0.5, -2.0)])
+def test_picard_converges_at_n1000(alpha, gamma, z):
+    # started at the constant z, the mixing moved beta(0) far in its first
+    # sweeps, while the change was still travelling back to node 0, and
+    # stalled next to a spiky near-fixed point (2000 sweeps, residual about
+    # 2e-3; unmixed Picard took 146-184 sweeps). From the drift-sign bound
+    # it converges, without spikes.
+    p = OUBParams(alpha=alpha, gamma=gamma, z=z)
+    sol = picard_solve(p, SolverConfig(n=1000))
+    assert sol.iterations <= 100
+    t, b = sol.grid.nodes, sol.beta
+    assert np.all(np.abs(np.diff(b)) < 1.5 * gamma * np.sqrt(np.diff(t)))
+
+
+def test_far_pin_fallback_without_spikes_at_n1000():
+    # backward induction finds no root here; the fallback started at the
+    # constant z ended on a spiky near-fixed point (node steps up to 5.45
+    # gamma sqrt(dt)), the one started at the drift-sign bound does not
+    p = OUBParams(alpha=2.0, gamma=1.0, z=-10.0)
+    sol = solve_boundary(p, SolverConfig(n=1000)).canonical
+    assert sol.method == "picard"
+    t = sol.grid.nodes
+    assert np.all(np.abs(np.diff(sol.beta)) < 1.5 * np.sqrt(np.diff(t)))
 
 
 def test_solve_boundary_failure_keeps_both_errors():
@@ -509,12 +537,16 @@ def test_sweep_work_arrays_change_nothing(n):
 
 def _reference_mixing(p, cfg):
     """Anderson-mixed Picard as a plain loop on the allocating sweep over
-    all rows at once, the differences kept as the rows of two arrays. A
-    mixed iterate whose change is not smaller than the last empties both,
-    and the next difference is taken between the two sweeps after it."""
+    all rows at once, from the larger of the drift-sign bound and Shepp's
+    asymptote, the differences kept as the rows of two arrays. A mixed
+    iterate whose change is not smaller than the last empties both, and
+    the next difference is taken between the two sweeps after it. Returns
+    the iterate whose sweep changed it by less than eps."""
     t = cfg.build_grid().nodes
     rows = _riemann_rows(p, t, t[:-2])
-    x = np.full(t.size, p.z)
+    x = np.maximum(p.z / np.cosh(p.alpha * (1.0 - t)),
+                   p.z + 0.8399 * p.gamma * np.sqrt(1.0 - t))
+    x[-2:] = p.z
     dg = df = np.empty((0, t.size))
     base = None
     for k in range(1, cfg.max_iter + 1):
@@ -522,7 +554,7 @@ def _reference_mixing(p, cfg):
         f = g - x
         residual = float(np.max(np.abs(f)))
         if residual < cfg.eps:
-            return g, k, residual
+            return x, k, residual
         x = g
         if len(df) and residual >= base[2]:
             dg = df = np.empty((0, t.size))
@@ -533,18 +565,17 @@ def _reference_mixing(p, cfg):
             df = np.vstack([df, f - base[1]])[-solver._MIX_DEPTH:]
         base = g, f, residual
         if len(df):
-            gram = df @ df.T
-            gram += solver._MIX_RIDGE * gram.diagonal().max() * np.eye(len(df))
-            x = g - np.linalg.solve(gram, df @ f) @ dg
+            x = g - np.linalg.lstsq(df.T, f, rcond=None)[0] @ dg
     raise AssertionError("the reference did not converge")
 
 
 @pytest.mark.parametrize("alpha,gamma,z,sweeps", [
-    (1.0, 0.5, -5.0, 25), (1.0, 1.0, 0.0, 12)])
+    (1.0, 0.5, -5.0, 28), (1.0, 1.0, 0.0, 10)])
 def test_picard_solve_matches_reference_sweeps(alpha, gamma, z, sweeps):
     # picard_solve, with its row blocks, work arrays and lists of
     # differences, stops after as many sweeps and on the same boundary as
-    # the reference loop (unmixed Picard takes 205 and 15 sweeps)
+    # the reference loop (unmixed Picard from the constant z takes 205
+    # and 15 sweeps)
     p = OUBParams(alpha=alpha, gamma=gamma, z=z)
     cfg = SolverConfig(n=500)
     sol = picard_solve(p, cfg)
