@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import erfc
 
 from .bridge import (
     CanonicalReduction,
@@ -281,12 +282,17 @@ def picard_solve(params: OUBParams, cfg: SolverConfig = SolverConfig()) -> Bound
     return sol
 
 
-# Steps (kernel rows) per node in backward_solve; over the 27-case envelope
-# at N = 10-500 no node takes more than 11.
+# Steps (kernel rows) per node in backward_solve, the extrapolated start's
+# and the search's together; over the 27-case envelope at N = 10-500 no node
+# takes more than 15 (the search alone: 11).
 _MAX_NODE_STEPS = 40
+# Rows the extrapolated start may take per node before the search from
+# beta_{i+1} takes over; 0 leaves every node to the search.
+_START_STEPS = 4
 
 
-def _node_root(h, b0: float, step: float, width: float, tol: float):
+def _node_root(h, b0: float, step: float, width: float, tol: float,
+               spent: int = 0):
     """The first sign change of h, which rises through it, from b0 out.
 
     Until h changes sign each step heads down where h > 0 and up otherwise,
@@ -294,11 +300,12 @@ def _node_root(h, b0: float, step: float, width: float, tol: float):
     by twice the last step (first: step) where that is shorter or the
     secant turns back. Illinois steps (regula falsi halving h at an end
     kept twice running) then close in until |h| < tol or the bracket is at
-    rounding width. Returns (b, h(b), steps, error), error None on success.
+    rounding width. Returns (b, h(b), steps, error), error None on success;
+    steps counts spent, the rows taken before the search, as well.
     """
     a = fa = b = fb = math.nan  # the last two points; h(a)h(b) < 0 once
     x, bracketed = b0, False
-    for steps in range(1, _MAX_NODE_STEPS + 1):
+    for steps in range(spent + 1, _MAX_NODE_STEPS + 1):
         fx = h(x)
         if not math.isfinite(fx):
             return x, fx, steps, "h is not finite"
@@ -307,7 +314,8 @@ def _node_root(h, b0: float, step: float, width: float, tol: float):
         if bracketed and (fx > 0.0) == (fb > 0.0):
             fa *= 0.5
         else:
-            bracketed = bracketed or (steps > 1 and (fx > 0.0) != (fb > 0.0))
+            bracketed = bracketed or (steps > spent + 1
+                                      and (fx > 0.0) != (fb > 0.0))
             a, fa = b, fb
         b, fb = x, fx
         secant = b - fb * (b - a) / (fb - fa) if fb != fa else math.nan
@@ -325,43 +333,127 @@ def _node_root(h, b0: float, step: float, width: float, tol: float):
     return b, fb, steps, f"|h| = {abs(fb):.3e} after {steps} steps"
 
 
+def _start_root(h, x: float, slope: float, lo: float, hi: float,
+                tol: float, steps: int):
+    """Secant steps on h from x, the first by the given slope, at most steps
+    rows: (b, h(b), the secant slope at b, rows) for the first b in [lo, hi]
+    with |h(b)| < tol that h rises through, the secant of its last two
+    points rising; b is nan where none is found."""
+    fx = h(x)
+    for k in range(2, steps + 1):
+        if not (math.isfinite(fx) and slope != 0.0):
+            return math.nan, fx, slope, k - 1
+        b, fb = x, fx
+        x = b - fb / slope
+        fx = h(x)
+        if x != b:
+            slope = (fx - fb) / (x - b)
+        if abs(fx) < tol and lo <= x <= hi and slope > 0.0:
+            return x, fx, slope, k
+    return math.nan, fx, slope, steps
+
+
+def _fold_rows(w: np.ndarray, table: KernelTable):
+    """Fold a block's Riemann weights into its table, in place: returns
+    (q, shift, inv_v, a, b, c), the table's own arrays (w is spent as
+    scratch), such that with p = (beta_j - shift) inv_v an entry's
+    w*K(t_i, x, t_j, beta_j) is (a - x b) erfc(p - q x) - c exp(-(p - q x)^2):
+    q = slope inv_v, a = w (cz - cm shift), b = w cm slope, c = w cv."""
+    q, shift, inv_v = table.slope, table.shift, table.inv_v
+    a, b, c = table.cz, table.cm, table.cv
+    c *= w
+    a *= w
+    b *= w
+    np.multiply(b, shift, out=w)
+    a -= w
+    b *= q
+    q *= inv_v
+    return q, shift, inv_v, a, b, c
+
+
+def _node_residual(rows, x2: np.ndarray, z: float, work: np.ndarray):
+    """h(x) = x - z + sum_j w_j K(t_i, x, t_j, x2_j) on one node's folded
+    row (the six _fold_rows arrays sliced to it), x2 the later nodes' beta.
+    work, three float arrays at least as long as the row, takes p and each
+    evaluation's arguments and values."""
+    q, shift, inv_v, a, b, c = rows
+    p, u, e = work[:, :q.size]
+    np.subtract(x2, shift, out=p)
+    p *= inv_v
+
+    def h(x: float) -> float:
+        np.multiply(q, x, out=u)
+        np.subtract(p, u, out=u)
+        erfc(u, out=e)
+        s = a.dot(e) - x * b.dot(e)
+        np.square(u, out=u)
+        np.negative(u, out=u)
+        np.exp(u, out=u)
+        return float(x - z + s - c.dot(u))
+
+    return h
+
+
 def backward_solve(params: OUBParams, cfg: SolverConfig = SolverConfig()) -> BoundarySolution:
     """Solve the discretised free-boundary equation exactly, node by node.
 
     Row i of the Riemann sum involves beta_i and later nodes only, so from
     the pinned end back each node is a root of h(b) = b - z +
-    sum_j w_j K(t_i, b, t_j, beta_j): the first sign change _node_root
-    finds from beta_{i+1} within 2*gamma*sqrt(t_{i+1} - t_i) of it (over
-    the envelope at N >= 120 smooth boundaries move by less than half
-    that), to |h| < 1e-9*max(1, gamma), its first step the last node's move.
-    _MAX_NODE_STEPS caps the steps (kernel rows) per node; iterations
-    counts them. Picard's row blocks (_row_blocks) are built one at a
-    time, from the last, their nodes solved from the last, each on slices
-    of the block's rows (head, j, w, table). Of cfg it reads n only. At far
-    pins h can stay just below zero near the boundary, its nearest root far
-    off. A node with no root in its window, or out of steps, raises
-    ConvergenceError (with the partial solution) instead.
+    sum_j w_j K(t_i, b, t_j, beta_j) within 2*gamma*sqrt(t_{i+1} - t_i) of
+    beta_{i+1} (over the envelope at N >= 120 smooth boundaries move by
+    less than half that). Node i starts at the quadratic extrapolation of
+    beta_{i+1..i+3}: a step by the slope of h that the last accepted start
+    measured (1 at first), then secant steps, at most _START_STEPS rows
+    (_start_root). Their point is accepted if |h| < 1e-12*max(1, gamma),
+    it lies in the window and h rises through it; otherwise, and at the
+    two nodes before t_{N-1}, the node is the first sign change _node_root
+    finds from beta_{i+1}, to |h| < 1e-9*max(1, gamma), its first step the
+    last node's move. _MAX_NODE_STEPS caps the steps (kernel rows) per
+    node, both kinds together; iterations counts them. Picard's row blocks
+    (_row_blocks) are built one at a time, from the last, and the weights
+    folded into their tables (_fold_rows); their nodes are solved from the
+    last, each on slices of the block's rows. Of cfg it reads n only. At
+    far pins h can stay just below zero near the boundary, its nearest
+    root far off. A node with no root in its window, or out of steps,
+    raises ConvergenceError (with the partial solution) instead.
     """
     _require_canonical(params)
     grid = cfg.build_grid()
     t, n, z = grid.nodes, grid.n, params.z
     tol = 1e-9 * max(1.0, params.gamma)
     beta = np.full(n + 1, z, dtype=float)
-    step = params.gamma * math.sqrt(t[n - 1] - t[n - 2])
+    tl = t.tolist()
+    b1 = b2 = b3 = z  # beta_{i+1}, beta_{i+2}, beta_{i+3}
+    step = params.gamma * math.sqrt(tl[n - 1] - tl[n - 2])
+    slope = 1.0
+    work = np.empty((3, n))
     total, worst = 0, 0.0
     for low, (head, j, w, table) in _row_blocks(params, t):
-        ends = np.append(head[1:], j.size)
-        for i in range(low + head.size - 1, low - 1, -1):
+        rows = _fold_rows(w, table)
+        ends = head[1:].tolist() + [j.size]
+        head = head.tolist()
+        del j, w, table
+        for i in range(low + len(head) - 1, low - 1, -1):
             row = slice(head[i - low], ends[i - low])
-            x2, wi, ti = beta[j[row]], w[row], table[row]
-
-            def h(b: float) -> float:
-                k = drift_kernel(params, None, b, None, x2, table=ti)
-                return b - z + float(np.dot(k, wi))
-
-            width = 2.0 * params.gamma * math.sqrt(t[i + 1] - t[i])
-            b, hb, steps, error = _node_root(h, beta[i + 1], step, width, tol)
-            total += steps
+            h = _node_residual([r[row] for r in rows], beta[i + 1:n], z,
+                               work)
+            width = 2.0 * params.gamma * math.sqrt(tl[i + 1] - tl[i])
+            b, hb, spent = math.nan, math.nan, 0
+            if i + 3 < n and _START_STEPS:
+                t0, t1, t2, t3 = tl[i:i + 4]
+                x = (b1 * (t0 - t2) * (t0 - t3) / ((t1 - t2) * (t1 - t3))
+                     + b2 * (t0 - t1) * (t0 - t3) / ((t2 - t1) * (t2 - t3))
+                     + b3 * (t0 - t1) * (t0 - t2) / ((t3 - t1) * (t3 - t2)))
+                b, hb, fit, spent = _start_root(h, x, slope, b1 - width,
+                                                b1 + width, 1e-3 * tol,
+                                                _START_STEPS)
+            error = None
+            if math.isnan(b):
+                b, hb, spent, error = _node_root(h, b1, step, width, tol,
+                                                 spent)
+            else:
+                slope = fit
+            total += spent
             worst = max(worst, abs(hb))
             if error is not None:
                 sol = BoundarySolution(grid=grid, beta=beta, iterations=total,
@@ -369,8 +461,9 @@ def backward_solve(params: OUBParams, cfg: SolverConfig = SolverConfig()) -> Bou
                 raise ConvergenceError(f"backward induction found no root "
                                        f"at node {i}: {error}", sol)
             beta[i] = b
-            step = max(abs(b - beta[i + 1]), tol)
-        del j, w, table, wi, ti, h  # free the block before the next is built
+            step = max(abs(b - b1), tol)
+            b1, b2, b3 = b, b1, b2
+        del rows, h  # free the block before the next is built
 
     return BoundarySolution(grid=grid, beta=beta, iterations=total,
                             final_residual=worst, method="backward")

@@ -20,7 +20,12 @@ from oubstop import (
     value,
 )
 from oubstop import solver
-from oubstop.solver import _picard_sweep, _riemann_rows
+from oubstop.solver import (
+    _fold_rows,
+    _node_residual,
+    _picard_sweep,
+    _riemann_rows,
+)
 
 
 def _reference_sweep(params, rows, beta):
@@ -204,12 +209,73 @@ def test_backward_failure_carries_partial(monkeypatch):
     assert np.array_equal(sol.beta, np.zeros(cfg.n + 1))
 
 
+@pytest.mark.parametrize("alpha", (0.01, 1.0, 5.0))
+@pytest.mark.parametrize("gamma", (0.5, 1.0, 2.0))
+@pytest.mark.parametrize("z", (-5.0, 0.0, 5.0))
+def test_folded_row_is_the_kernel_row(alpha, gamma, z):
+    # with the Riemann weights folded into the table, h(x) - (x - z) is the
+    # row's weighted kernel sum, at the node's own beta and off it
+    p = OUBParams(alpha=alpha, gamma=gamma, z=z)
+    t = SolverConfig(n=60).build_grid().nodes
+    n = t.size - 1
+    beta = z + 0.84 * gamma * np.sqrt(1.0 - t)
+    beta[-2:] = z
+    head, j, w, table = _riemann_rows(p, t, t[:-2])
+    ends = np.append(head[1:], j.size)
+    want = {}
+    for i in range(n - 1):
+        row = slice(head[i], ends[i])
+        for x in (beta[i], beta[i] - 0.3 * gamma, beta[i] + 0.3 * gamma):
+            k = drift_kernel(p, None, x, None, beta[j[row]], table=table[row])
+            want[i, x] = float(np.dot(k, w[row]))
+    rows = _fold_rows(w, table)
+    work = np.empty((3, n))
+    for (i, x), sum_wk in want.items():
+        row = slice(head[i], ends[i])
+        h = _node_residual([r[row] for r in rows], beta[i + 1:n], z, work)
+        assert abs(h(x) - (x - z) - sum_wk) <= 1e-14 * (1.0 + abs(z))
+
+
+@pytest.mark.parametrize("alpha,gamma,z", list(itertools.product(
+    (0.01, 1.0, 5.0), (0.5, 1.0, 2.0), (-5.0, 0.0, 5.0))))
+def test_extrapolated_start_changes_no_outcome(alpha, gamma, z, monkeypatch):
+    # every node left to the search from beta_{i+1}: the same outcome, and
+    # a boundary whose V(0, z) is within 1e-6
+    p = OUBParams(alpha=alpha, gamma=gamma, z=z)
+    cfg = SolverConfig(n=500)
+    outcomes = []
+    for start_steps in (solver._START_STEPS, 0):
+        monkeypatch.setattr(solver, "_START_STEPS", start_steps)
+        try:
+            sol = backward_solve(p, cfg)
+            outcomes.append(value(p, sol, ValueSurfaceQuery(t=0.0, x=z)))
+        except ConvergenceError:
+            outcomes.append(None)
+    fast, search = outcomes
+    assert (fast is None) == (search is None)
+    if fast is not None:
+        assert abs(fast - search) <= 1e-6
+
+
+@pytest.mark.parametrize("n,rows_per_node", [(500, 3.0), (2000, 2.5)])
+def test_backward_rows_per_node(n, rows_per_node):
+    # from the extrapolated root a node mostly takes two or three rows;
+    # the search from beta_{i+1} alone took 4.03 per node at N = 500 and
+    # 3.04 at N = 2000
+    sol = backward_solve(OUBParams(alpha=1.0, gamma=1.0, z=0.0),
+                         SolverConfig(n=n))
+    assert sol.iterations <= rows_per_node * (n - 1)
+
+
 def test_solve_boundary_falls_back_to_picard():
     # at a far pin h can stay just below zero at a node, its nearest root
-    # far outside the window; the production boundary is then Picard's
-    p = OUBParams(alpha=1.0, gamma=1.0, z=-5.0)
+    # far outside the window; the production boundary is then Picard's.
+    # Here the root search fails at node 45 at every root tolerance from
+    # 1e-13 to 1e-9 (at node 46 at 1e-8); at (1, 1, -5) it failed at 1e-9
+    # only, so which solver answered there hung on the tolerance
+    p = OUBParams(alpha=1.0, gamma=0.5, z=-5.0)
     cfg = SolverConfig(n=200)
-    with pytest.raises(ConvergenceError, match="no root at node 2: h keeps"):
+    with pytest.raises(ConvergenceError, match="no root at node 45: h keeps"):
         backward_solve(p, cfg)
     sol = solve_boundary(p, cfg).canonical
     assert sol.method == "picard"
@@ -223,6 +289,22 @@ FALLBACKS_N500 = ((0.5, 0.25, -10.0), (0.5, 0.25, -5.0), (0.5, 0.5, -10.0),
                   (1.0, 0.25, -5.0), (1.0, 0.25, -2.0), (1.0, 0.5, -10.0),
                   (1.0, 0.5, -5.0), (1.0, 1.0, -10.0), (2.0, 1.0, -5.0),
                   (2.0, 2.0, -10.0))
+
+
+def test_backward_fallback_set_at_n500():
+    # backward induction raises on the grid problems of FALLBACKS_N500 and
+    # on no other
+    raised = set()
+    for alpha, gamma, z in itertools.product((0.01, 0.5, 1.0, 2.0, 3.0, 5.0),
+                                             (0.25, 0.5, 1.0, 2.0),
+                                             (-10.0, -5.0, -2.0, 0.0, 2.0,
+                                              5.0, 10.0)):
+        try:
+            backward_solve(OUBParams(alpha=alpha, gamma=gamma, z=z),
+                           SolverConfig(n=500))
+        except ConvergenceError:
+            raised.add((alpha, gamma, z))
+    assert raised == set(FALLBACKS_N500)
 
 
 @pytest.mark.parametrize("alpha,gamma,z", FALLBACKS_N500)
