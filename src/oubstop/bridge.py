@@ -77,7 +77,7 @@ class CanonicalReduction:
     The canonical problem has theta = 0 and horizon = 1; original and
     canonical objects are linked by
 
-        t_canonical = time_scale * t          (time_scale = 1 / T)
+        t_canonical = t / T                   (time_scale = 1 / T)
         x_canonical = x - space_shift         (space_shift = theta)
         beta(t) = beta_canonical(t / T) + theta
         V(t, x) = V_canonical(t / T, x - theta) + theta
@@ -93,7 +93,9 @@ class CanonicalReduction:
     space_shift: float
 
     def to_canonical_time(self, t):
-        return np.multiply(t, self.time_scale)
+        # a correctly rounded division maps every t < T below 1; the product
+        # with the rounded 1/T does not
+        return np.divide(t, self.original.horizon)
 
     def from_canonical_time(self, t):
         return np.divide(t, self.time_scale)

@@ -101,15 +101,6 @@ class KernelTable:
         self.cv = np.multiply(2.0 * _INV_SQRT_2PI, self.cm, out=sinh_gap)
         self.cv *= v
 
-    def __getitem__(self, pairs: slice) -> KernelTable:
-        """The table over a contiguous run of the time pairs: it holds views
-        of the coefficient arrays and validates nothing anew."""
-        out = object.__new__(KernelTable)
-        out.params = self.params
-        for name in self.__slots__[1:]:
-            setattr(out, name, getattr(self, name)[pairs])
-        return out
-
     def evaluate(self, x1, x2, _work=None) -> np.ndarray:
         """K at (x1, x2), broadcast against the table's time pairs.
 

@@ -282,75 +282,54 @@ def picard_solve(params: OUBParams, cfg: SolverConfig = SolverConfig()) -> Bound
     return sol
 
 
-# Steps (kernel rows) per node in backward_solve, the extrapolated start's
-# and the search's together; over the 27-case envelope at N = 10-500 no node
-# takes more than 15 (the search alone: 11).
+# Steps (kernel rows) per node in backward_solve; over the 27-case envelope
+# at N = 10-500 no node takes more than 24.
 _MAX_NODE_STEPS = 40
-# Rows the extrapolated start may take per node before the search from
-# beta_{i+1} takes over; 0 leaves every node to the search.
-_START_STEPS = 4
 
 
-def _node_root(h, b0: float, step: float, width: float, tol: float,
-               spent: int = 0):
-    """The first sign change of h, which rises through it, from b0 out.
+def _node_root(h, x: float, b0: float, width: float, step: float,
+               slope: float, tol: float):
+    """The first sign change of h, which rises through it, from x out.
 
-    Until h changes sign each step heads down where h > 0 and up otherwise,
-    never past b0 +- width: by the secant through the last two points, or
-    by twice the last step (first: step) where that is shorter or the
-    secant turns back. Illinois steps (regula falsi halving h at an end
-    kept twice running) then close in until |h| < tol or the bracket is at
-    rounding width. Returns (b, h(b), steps, error), error None on success;
-    steps counts spent, the rows taken before the search, as well.
+    x is first clamped into b0 +- width. Until h changes sign each step
+    heads down where h > 0 and up otherwise, never past b0 +- width: by
+    the secant through the last two points (first: the Newton step by
+    slope), or by twice the last step (first: step) where that is shorter
+    or the secant turns back. Illinois steps (regula falsi halving h at an
+    end kept twice running) then close in until |h| < tol or the bracket is
+    at rounding width. Returns (b, h(b), slope, steps, error), error None
+    on success; slope is the secant of h's last two points, the given one
+    where the first is accepted.
     """
     a = fa = b = fb = math.nan  # the last two points; h(a)h(b) < 0 once
-    x, bracketed = b0, False
-    for steps in range(spent + 1, _MAX_NODE_STEPS + 1):
+    x, bracketed = min(max(x, b0 - width), b0 + width), False
+    for steps in range(1, _MAX_NODE_STEPS + 1):
         fx = h(x)
         if not math.isfinite(fx):
-            return x, fx, steps, "h is not finite"
+            return x, fx, slope, steps, "h is not finite"
+        if steps > 1 and x != b:
+            slope = (fx - fb) / (x - b)
         if abs(fx) < tol:
-            return x, fx, steps, None
+            return x, fx, slope, steps, None
         if bracketed and (fx > 0.0) == (fb > 0.0):
             fa *= 0.5
         else:
-            bracketed = bracketed or (steps > spent + 1
-                                      and (fx > 0.0) != (fb > 0.0))
+            bracketed = bracketed or (steps > 1 and (fx > 0.0) != (fb > 0.0))
             a, fa = b, fb
         b, fb = x, fx
-        secant = b - fb * (b - a) / (fb - fa) if fb != fa else math.nan
         if bracketed:
             if abs(b - a) < 1e-15 * (1.0 + abs(b)):
-                return b, fb, steps, None
-            x = secant
+                return b, fb, slope, steps, None
+            x = b - fb * (b - a) / (fb - fa)
             continue
         step = math.copysign(step, -fb)
-        x = secant if 0.0 < (secant - b) / step < 1.0 else b + step
+        x = b - fb / slope if slope else math.nan
+        x = x if 0.0 < (x - b) / step < 1.0 else b + step
         x = min(max(x, b0 - width), b0 + width)
         if x == b:
-            return b, fb, steps, f"h keeps its sign within {width:.3g}"
+            return b, fb, slope, steps, f"h keeps its sign within {width:.3g}"
         step = 2.0 * (x - b)
-    return b, fb, steps, f"|h| = {abs(fb):.3e} after {steps} steps"
-
-
-def _start_root(h, x: float, slope: float, lo: float, hi: float,
-                tol: float, steps: int):
-    """Secant steps on h from x, the first by the given slope, at most steps
-    rows: (b, h(b), the secant slope at b, rows) for the first b in [lo, hi]
-    with |h(b)| < tol that h rises through, the secant of its last two
-    points rising; b is nan where none is found."""
-    fx = h(x)
-    for k in range(2, steps + 1):
-        if not (math.isfinite(fx) and slope != 0.0):
-            return math.nan, fx, slope, k - 1
-        b, fb = x, fx
-        x = b - fb / slope
-        fx = h(x)
-        if x != b:
-            slope = (fx - fb) / (x - b)
-        if abs(fx) < tol and lo <= x <= hi and slope > 0.0:
-            return x, fx, slope, k
-    return math.nan, fx, slope, steps
+    return b, fb, slope, steps, f"|h| = {abs(fb):.3e} after {steps} steps"
 
 
 def _fold_rows(w: np.ndarray, table: KernelTable):
@@ -401,26 +380,24 @@ def backward_solve(params: OUBParams, cfg: SolverConfig = SolverConfig()) -> Bou
     the pinned end back each node is a root of h(b) = b - z +
     sum_j w_j K(t_i, b, t_j, beta_j) within 2*gamma*sqrt(t_{i+1} - t_i) of
     beta_{i+1} (over the envelope at N >= 120 smooth boundaries move by
-    less than half that). Node i starts at the quadratic extrapolation of
-    beta_{i+1..i+3}: a step by the slope of h that the last accepted start
-    measured (1 at first), then secant steps, at most _START_STEPS rows
-    (_start_root). Their point is accepted if |h| < 1e-12*max(1, gamma),
-    it lies in the window and h rises through it; otherwise, and at the
-    two nodes before t_{N-1}, the node is the first sign change _node_root
-    finds from beta_{i+1}, to |h| < 1e-9*max(1, gamma), its first step the
-    last node's move. _MAX_NODE_STEPS caps the steps (kernel rows) per
-    node, both kinds together; iterations counts them. Picard's row blocks
-    (_row_blocks) are built one at a time, from the last, and the weights
-    folded into their tables (_fold_rows); their nodes are solved from the
-    last, each on slices of the block's rows. Of cfg it reads n only. At
-    far pins h can stay just below zero near the boundary, its nearest
-    root far off. A node with no root in its window, or out of steps,
-    raises ConvergenceError (with the partial solution) instead.
+    less than half that). Each node is one _node_root search, accepted at
+    |h| < 1e-12*max(1, gamma). Node i starts at the quadratic
+    extrapolation of beta_{i+1..i+3} (the two nodes before t_{N-1}: at
+    beta_{i+1}); its first step is the Newton step by the slope of h that
+    the last node's search measured (1 at first), at most the last node's
+    move. _MAX_NODE_STEPS caps the steps (kernel rows) per node;
+    iterations counts them. Picard's row blocks (_row_blocks) are built
+    one at a time, from the last, and the weights folded into their tables
+    (_fold_rows); their nodes are solved from the last, each on slices of
+    the block's rows. Of cfg it reads n only. At far pins h can stay just
+    below zero near the boundary, its nearest root far off. A node with no
+    root in its window, or out of steps, raises ConvergenceError (with the
+    partial solution) instead.
     """
     _require_canonical(params)
     grid = cfg.build_grid()
     t, n, z = grid.nodes, grid.n, params.z
-    tol = 1e-9 * max(1.0, params.gamma)
+    tol = 1e-12 * max(1.0, params.gamma)
     beta = np.full(n + 1, z, dtype=float)
     tl = t.tolist()
     b1 = b2 = b3 = z  # beta_{i+1}, beta_{i+2}, beta_{i+3}
@@ -438,22 +415,15 @@ def backward_solve(params: OUBParams, cfg: SolverConfig = SolverConfig()) -> Bou
             h = _node_residual([r[row] for r in rows], beta[i + 1:n], z,
                                work)
             width = 2.0 * params.gamma * math.sqrt(tl[i + 1] - tl[i])
-            b, hb, spent = math.nan, math.nan, 0
-            if i + 3 < n and _START_STEPS:
+            x = b1
+            if i + 3 < n:
                 t0, t1, t2, t3 = tl[i:i + 4]
                 x = (b1 * (t0 - t2) * (t0 - t3) / ((t1 - t2) * (t1 - t3))
                      + b2 * (t0 - t1) * (t0 - t3) / ((t2 - t1) * (t2 - t3))
                      + b3 * (t0 - t1) * (t0 - t2) / ((t3 - t1) * (t3 - t2)))
-                b, hb, fit, spent = _start_root(h, x, slope, b1 - width,
-                                                b1 + width, 1e-3 * tol,
-                                                _START_STEPS)
-            error = None
-            if math.isnan(b):
-                b, hb, spent, error = _node_root(h, b1, step, width, tol,
-                                                 spent)
-            else:
-                slope = fit
-            total += spent
+            b, hb, slope, steps, error = _node_root(h, x, b1, width, step,
+                                                    slope, tol)
+            total += steps
             worst = max(worst, abs(hb))
             if error is not None:
                 sol = BoundarySolution(grid=grid, beta=beta, iterations=total,

@@ -220,3 +220,13 @@ def test_reduction_round_trip_one_ulp():
         x_rt = red.from_canonical_space(red.to_canonical_space(x))
         assert np.all(np.abs(t_rt - t) <= np.spacing(np.abs(t) + 1.0))
         assert np.all(np.abs(x_rt - x) <= np.spacing(np.abs(x) + 1.0))
+
+
+def test_time_below_horizon_maps_below_one():
+    # t * (1/T), with 1/T rounded, took t = nextafter(T, 0) to 1.0 at 473
+    # of these 9901 horizons, 0.11 among them; t / T is correctly rounded
+    for horizon in np.arange(100, 10001) / 1000.0:
+        red = reduce_to_canonical(OUBParams(alpha=1.0, gamma=1.0, z=0.0,
+                                            horizon=horizon))
+        assert red.to_canonical_time(np.nextafter(horizon, 0.0)) < 1.0
+        assert red.to_canonical_time(horizon) == 1.0

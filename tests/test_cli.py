@@ -91,7 +91,7 @@ def test_verify_accepts_general_horizon_boundary(tmp_path):
 
 def test_solve_nonconvergence_writes_partial(tmp_path, capsys):
     # canonically alpha = 1, gamma = 0.5, z = -5: backward induction finds
-    # no root at node 0, and one Picard sweep does not converge
+    # no root at node 2, and one Picard sweep does not converge
     out = tmp_path / "b.csv"
     code = run_cli("solve", "--n", "120", "--max-iter", "1", "--alpha",
                    "0.25", "--gamma", "0.25", "--theta", "1", "--horizon",
@@ -392,15 +392,34 @@ def test_verify_constant_paired_difference_is_certain(paths, tmp_path):
     # a strong pull where both shifted rules differ from the unshifted one
     # by the same amount on every path: se_diff is exactly 0, and the
     # statistic is the sign of the difference, not a rounding artefact
-    # (9e15 at 3 paths) or 0 (at 4 and 5)
+    # (9e15 at 3 paths) or 0 (at 4 and 5). The boundary is the solved one
+    # made flat up to the two pinned nodes; the solved one differs from
+    # node to node by about 1e-13, enough for the shifted rule's payoffs
+    # to differ from path to path by as much
+    problem = ("--alpha", "-350", "--horizon", "2", "--theta", "1")
+    src = tmp_path / "b.csv"
+    assert run_cli("solve", *problem, "--n", "20", "--out", str(src)) == 0
+    t, beta = read_boundary_csv(str(src))
+    beta[:-2] = beta[0]
+    flat = tmp_path / "flat.csv"
+    flat.write_text("t,beta\n" + "".join(
+        f"{float(ti)!r},{float(bi)!r}\n" for ti, bi in zip(t, beta)))
     out = tmp_path / "r.csv"
-    assert run_cli("verify", "--alpha", "-350", "--horizon", "2",
-                   "--theta", "1", "--n", "20", "--paths", str(paths),
-                   "--out", str(out)) == 1
+    assert run_cli("verify", *problem, "--paths", str(paths), "--boundary",
+                   str(flat), "--out", str(out)) == 1
     rows = dict(r.split(",", 1)
                 for r in out.read_text().strip().splitlines()[1:])
     assert rows["perturbation_up"] == "inf,3,fail"
     assert rows["perturbation_down"] == "-inf,3,pass"
+
+
+def test_value_just_below_horizon(capsys):
+    # the largest float below the horizon 0.11 passes value's own
+    # t < horizon check; it must map below the canonical horizon 1 too
+    assert run_cli("value", "--horizon", "0.11", "--t",
+                   "0.10999999999999999", "--x", "0", "--n", "60") == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith(
+        "0.10999999999999999,")
 
 
 def test_solve_far_pin_strong_pull(capsys):
@@ -422,7 +441,7 @@ def test_eps_flag_is_gone():
 
 @pytest.mark.parametrize("subcommand", ("value", "verify", "figures"))
 def test_convergence_error_exits_2(subcommand, tmp_path, capsys):
-    # backward induction finds no root at node 0 and one Picard sweep does
+    # backward induction finds no root at node 2 and one Picard sweep does
     # not converge: a convergence error (exit 2), not a traceback, and for
     # verify not a failed verification (exit 1)
     # (figures draws alpha = 1, gamma = 0.5, z = -5 itself)
@@ -440,7 +459,7 @@ def test_convergence_error_names_both_solvers(capsys):
                    "--n", "120", "--max-iter", "1", "--t", "0",
                    "--x", "0") == 2
     err = capsys.readouterr().err
-    assert "backward induction found no root at node 0" in err
+    assert "backward induction found no root at node 2" in err
     assert "Picard" in err
 
 

@@ -27,6 +27,8 @@ from oubstop.solver import (
     _riemann_rows,
 )
 
+import search_reference
+
 
 def _reference_sweep(params, rows, beta):
     """One Picard sweep as it was written before it reused work arrays:
@@ -174,7 +176,7 @@ def test_backward_bisection_meets_tolerance(alpha, gamma, z):
     # spikes were 5-23): no spikes. At z = 0, where each node's root is
     # unique, Picard is within its stopping error.
     p = OUBParams(alpha=alpha, gamma=gamma, z=z)
-    tol = 1e-9 * max(1.0, gamma)
+    tol = 1e-12 * max(1.0, gamma)
     for n in (120, 200, 500):
         cfg = SolverConfig(n=n)
         t = cfg.build_grid().nodes
@@ -185,7 +187,7 @@ def test_backward_bisection_meets_tolerance(alpha, gamma, z):
             sol = None
         if sol is not None:
             b = sol.beta
-            assert sol.final_residual <= tol
+            assert sol.final_residual < tol
             assert sol.iterations <= 40 * (n - 1)
             assert b[-2] == b[-1] == z
             assert _row_residual(p, t, b) <= 2.0 * tol
@@ -224,10 +226,10 @@ def test_folded_row_is_the_kernel_row(alpha, gamma, z):
     ends = np.append(head[1:], j.size)
     want = {}
     for i in range(n - 1):
-        row = slice(head[i], ends[i])
+        _, ji, wi, ti = _riemann_rows(p, t, t[i:i + 1])
         for x in (beta[i], beta[i] - 0.3 * gamma, beta[i] + 0.3 * gamma):
-            k = drift_kernel(p, None, x, None, beta[j[row]], table=table[row])
-            want[i, x] = float(np.dot(k, w[row]))
+            k = drift_kernel(p, None, x, None, beta[ji], table=ti)
+            want[i, x] = float(np.dot(k, wi))
     rows = _fold_rows(w, table)
     work = np.empty((3, n))
     for (i, x), sum_wk in want.items():
@@ -238,23 +240,23 @@ def test_folded_row_is_the_kernel_row(alpha, gamma, z):
 
 @pytest.mark.parametrize("alpha,gamma,z", list(itertools.product(
     (0.01, 1.0, 5.0), (0.5, 1.0, 2.0), (-5.0, 0.0, 5.0))))
-def test_extrapolated_start_changes_no_outcome(alpha, gamma, z, monkeypatch):
-    # every node left to the search from beta_{i+1}: the same outcome, and
-    # a boundary whose V(0, z) is within 1e-6
+def test_extrapolated_start_changes_no_outcome(alpha, gamma, z):
+    # against the search from beta_{i+1} at |h| < 1e-9*max(1, gamma) that
+    # the extrapolated start replaced (tests/search_reference.py): the same
+    # outcome, and a boundary whose V(0, z) is within 1e-6 (5.1e-8 seen)
     p = OUBParams(alpha=alpha, gamma=gamma, z=z)
     cfg = SolverConfig(n=500)
-    outcomes = []
-    for start_steps in (solver._START_STEPS, 0):
-        monkeypatch.setattr(solver, "_START_STEPS", start_steps)
-        try:
-            sol = backward_solve(p, cfg)
-            outcomes.append(value(p, sol, ValueSurfaceQuery(t=0.0, x=z)))
-        except ConvergenceError:
-            outcomes.append(None)
-    fast, search = outcomes
-    assert (fast is None) == (search is None)
-    if fast is not None:
-        assert abs(fast - search) <= 1e-6
+    ref = search_reference.backward_beta(p, cfg.build_grid().nodes)
+    try:
+        sol = backward_solve(p, cfg)
+    except ConvergenceError:
+        assert ref is None
+        return
+    assert ref is not None
+    q = ValueSurfaceQuery(t=0.0, x=z)
+    old = BoundarySolution(grid=sol.grid, beta=ref, iterations=0,
+                           final_residual=0.0, method="backward")
+    assert abs(value(p, sol, q) - value(p, old, q)) <= 1e-6
 
 
 @pytest.mark.parametrize("n,rows_per_node", [(500, 3.0), (2000, 2.5)])
@@ -287,8 +289,8 @@ def test_solve_boundary_falls_back_to_picard():
 # N = 500, backward induction finds no root and solve_boundary falls back.
 FALLBACKS_N500 = ((0.5, 0.25, -10.0), (0.5, 0.25, -5.0), (0.5, 0.5, -10.0),
                   (1.0, 0.25, -5.0), (1.0, 0.25, -2.0), (1.0, 0.5, -10.0),
-                  (1.0, 0.5, -5.0), (1.0, 1.0, -10.0), (2.0, 1.0, -5.0),
-                  (2.0, 2.0, -10.0))
+                  (1.0, 0.5, -5.0), (1.0, 1.0, -10.0), (2.0, 0.5, -2.0),
+                  (2.0, 1.0, -5.0), (2.0, 2.0, -10.0))
 
 
 def test_backward_fallback_set_at_n500():
@@ -379,7 +381,7 @@ def test_solve_boundary_failure_keeps_both_errors():
         picard_solve(p, cfg)
     with pytest.raises(ConvergenceError) as err:
         solve_boundary(p, cfg)
-    assert "backward induction found no root at node 0" in str(err.value)
+    assert "backward induction found no root at node 2" in str(err.value)
     assert str(picard.value) in str(err.value)
     assert isinstance(err.value.__cause__, ConvergenceError)
     assert err.value.__cause__.solution.method == "backward"
