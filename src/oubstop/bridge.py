@@ -75,10 +75,10 @@ class CanonicalReduction:
     """Affine reduction of a general bridge to canonical coordinates.
 
     The canonical problem has theta = 0 and horizon = 1; original and
-    canonical objects are linked by
+    canonical objects are linked through the original T and theta by
 
-        t_canonical = t / T                   (time_scale = 1 / T)
-        x_canonical = x - space_shift         (space_shift = theta)
+        t_canonical = t / T
+        x_canonical = x - theta
         beta(t) = beta_canonical(t / T) + theta
         V(t, x) = V_canonical(t / T, x - theta) + theta
 
@@ -89,22 +89,21 @@ class CanonicalReduction:
 
     original: OUBParams
     canonical: OUBParams
-    time_scale: float
-    space_shift: float
 
+    # Both time maps are one correctly rounded operation with T itself, not
+    # with a rounded 1/T: every t < T maps below 1, and canonical 1 maps to
+    # T exactly.
     def to_canonical_time(self, t):
-        # a correctly rounded division maps every t < T below 1; the product
-        # with the rounded 1/T does not
         return np.divide(t, self.original.horizon)
 
     def from_canonical_time(self, t):
-        return np.divide(t, self.time_scale)
+        return np.multiply(t, self.original.horizon)
 
     def to_canonical_space(self, x):
-        return np.subtract(x, self.space_shift)
+        return np.subtract(x, self.original.theta)
 
     def from_canonical_space(self, x):
-        return np.add(x, self.space_shift)
+        return np.add(x, self.original.theta)
 
 
 # Largest canonical slope |alpha|*T accepted. The kernel's coefficient
@@ -127,7 +126,6 @@ def reduce_to_canonical(params: OUBParams) -> CanonicalReduction:
     if alpha > _MAX_ALPHA:
         raise ValueError(f"|alpha| * horizon must be <= {_MAX_ALPHA:g} (the "
                          f"kernel overflows soon after), got {alpha!r}")
-    r = 1.0 / params.horizon
     canonical = OUBParams(
         alpha=alpha,
         gamma=params.gamma * math.sqrt(params.horizon),
@@ -135,12 +133,7 @@ def reduce_to_canonical(params: OUBParams) -> CanonicalReduction:
         theta=0.0,
         horizon=1.0,
     )
-    return CanonicalReduction(
-        original=params,
-        canonical=canonical,
-        time_scale=r,
-        space_shift=params.theta,
-    )
+    return CanonicalReduction(original=params, canonical=canonical)
 
 
 def _require_canonical(params: OUBParams) -> None:

@@ -88,13 +88,10 @@ def read_boundary_csv(path: str):
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    # None stands for SolverConfig's default (500 and 2000), so that verify
-    # can tell a given flag from an omitted one
+    # None stands for SolverConfig's default (500), so that verify can tell
+    # a given --n from an omitted one
     common.add_argument("--n", type=int, default=None,
                         help="mesh size N (default 500)")
-    common.add_argument("--max-iter", type=int, default=None,
-                        help="Picard sweeps, where backward induction "
-                        "falls back to Picard (default 2000)")
     common.add_argument("--out", type=str, default=None)
     problem = argparse.ArgumentParser(add_help=False)
     problem.add_argument("--alpha", type=float, default=1.0)
@@ -134,10 +131,8 @@ def _params(args: argparse.Namespace) -> OUBParams:
 
 
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
-    """SolverConfig from --n and --max-iter, its defaults where omitted."""
-    given = {k: getattr(args, k) for k in ("n", "max_iter")
-             if getattr(args, k) is not None}
-    return SolverConfig(**given)
+    """SolverConfig from --n, its default where omitted."""
+    return SolverConfig() if args.n is None else SolverConfig(n=args.n)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -193,9 +188,9 @@ def cmd_value(args: argparse.Namespace) -> int:
 
     sol = solve_boundary(params, cfg).canonical
     ts, xs = zip(*pts)
-    _write_columns(("t", "x", "V"),
-                   (ts, xs, [value(red.canonical, sol, q) + red.space_shift
-                             for q in queries]), args.out)
+    vs = [red.from_canonical_space(value(red.canonical, sol, q))
+          for q in queries]
+    _write_columns(("t", "x", "V"), (ts, xs, vs), args.out)
     return 0
 
 
@@ -271,9 +266,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     mc = MCConfig(paths=args.paths, seed=args.seed, workers=int(threads))
     red = reduce_to_canonical(params)
     if args.boundary is not None:
-        if (args.n, args.max_iter) != (None, None):
-            raise ValueError("--n and --max-iter do not apply with "
-                             "--boundary, which is verified as read")
+        if args.n is not None:
+            raise ValueError("--n does not apply with --boundary, which is "
+                             "verified as read")
         t, b = read_boundary_csv(args.boundary)
         nodes = np.asarray(red.to_canonical_time(t), dtype=float)
         if nodes[0] != 0.0:
@@ -282,10 +277,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if abs(nodes[-1] - 1.0) > 1e-12:
             raise ValueError(f"{args.boundary}: last time {float(t[-1])!r} "
                              f"is not the horizon {params.horizon!r}")
-        # absorb the rounding of t / horizon, which TimeGrid would reject
+        # solve's own files end at the horizon exactly; the slack accepts
+        # files from other writers and earlier versions, whose last t / T
+        # may round off 1, which TimeGrid would reject
         nodes[-1] = 1.0
+        try:
+            grid = TimeGrid(nodes)
+        except ValueError as err:
+            raise ValueError(f"{args.boundary}: {err}") from err
         sol = BoundarySolution(
-            grid=TimeGrid(nodes),
+            grid=grid,
             beta=np.asarray(red.to_canonical_space(b), dtype=float),
             iterations=0, final_residual=math.nan, method="file")
     else:
@@ -312,7 +313,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
         # Each distinct canonical problem is solved once: +-alpha reduce to
         # the same one, and the figures share their alpha = gamma = 1 curves
         red = reduce_to_canonical(OUBParams(alpha=alpha, gamma=gamma, z=z))
-        solver = SolverConfig(n=n, max_iter=base.max_iter)
+        solver = SolverConfig(n=n)
         key = (red.canonical, solver)
         if key not in solved:
             solved[key] = solve_boundary(red.canonical, solver).canonical

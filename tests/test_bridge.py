@@ -118,7 +118,7 @@ def test_drift_general_parameters_reduce():
         / math.sinh(rem)
     red = reduce_to_canonical(p)
     got = drift(red.canonical, red.to_canonical_time(t),
-                red.to_canonical_space(x)) * red.time_scale
+                red.to_canonical_space(x)) / red.original.horizon
     assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -164,8 +164,10 @@ def test_reduce_identity_for_canonical():
     p = OUBParams(alpha=2.0, gamma=1.0, z=-1.0)
     red = reduce_to_canonical(p)
     assert red.canonical == p
-    assert red.time_scale == 1.0
-    assert red.space_shift == 0.0
+    assert red.original.horizon == 1.0
+    assert red.original.theta == 0.0
+    assert red.from_canonical_time(0.3) == 0.3
+    assert red.from_canonical_space(-0.7) == -0.7
 
 
 def test_reduce_shifts_pulling_level():
@@ -224,9 +226,12 @@ def test_reduction_round_trip_one_ulp():
 
 def test_time_below_horizon_maps_below_one():
     # t * (1/T), with 1/T rounded, took t = nextafter(T, 0) to 1.0 at 473
-    # of these 9901 horizons, 0.11 among them; t / T is correctly rounded
+    # of these 9901 horizons, 0.11 among them; t / T is correctly rounded.
+    # Back the other way, t / (1/T) took canonical 1 off T at 1360 of them;
+    # t * T is correctly rounded too
     for horizon in np.arange(100, 10001) / 1000.0:
         red = reduce_to_canonical(OUBParams(alpha=1.0, gamma=1.0, z=0.0,
                                             horizon=horizon))
         assert red.to_canonical_time(np.nextafter(horizon, 0.0)) < 1.0
         assert red.to_canonical_time(horizon) == 1.0
+        assert red.from_canonical_time(1.0) == horizon

@@ -1,4 +1,5 @@
 import argparse
+import functools
 import warnings
 
 import numpy as np
@@ -26,6 +27,14 @@ from oubstop.cli import main, read_boundary_csv
 
 def run_cli(*args):
     return main(list(args))
+
+
+@pytest.fixture
+def one_sweep(monkeypatch):
+    # the CLI runs Picard with its default sweep cap (2000); a cap of one
+    # sweep makes the fallback fail wherever backward induction fails
+    monkeypatch.setattr(cli, "SolverConfig",
+                        functools.partial(SolverConfig, max_iter=1))
 
 
 def test_solve_writes_boundary_csv(tmp_path, capsys):
@@ -89,11 +98,11 @@ def test_verify_accepts_general_horizon_boundary(tmp_path):
     assert code == 0
 
 
-def test_solve_nonconvergence_writes_partial(tmp_path, capsys):
+def test_solve_nonconvergence_writes_partial(tmp_path, capsys, one_sweep):
     # canonically alpha = 1, gamma = 0.5, z = -5: backward induction finds
     # no root at node 2, and one Picard sweep does not converge
     out = tmp_path / "b.csv"
-    code = run_cli("solve", "--n", "120", "--max-iter", "1", "--alpha",
+    code = run_cli("solve", "--n", "120", "--alpha",
                    "0.25", "--gamma", "0.25", "--theta", "1", "--horizon",
                    "4", "--z", "-4", "--out", str(out))
     assert code == 2
@@ -248,13 +257,12 @@ def test_verify_drift_sign_bound_checks_every_node(alpha, z, passes,
     assert (float(margin) > 0.0) == passes
 
 
-@pytest.mark.parametrize("flag", [("--n", "1"), ("--max-iter", "7")])
-def test_verify_boundary_rejects_solver_flags(flag, tmp_path, capsys):
+def test_verify_boundary_rejects_solver_flags(tmp_path, capsys):
     # a boundary file is verified as read, never solved
     src = tmp_path / "b.csv"
     assert run_cli("solve", "--n", "50", "--out", str(src)) == 0
     capsys.readouterr()
-    assert run_cli("verify", "--boundary", str(src), *flag) == 2
+    assert run_cli("verify", "--boundary", str(src), "--n", "1") == 2
     err = capsys.readouterr().err
     assert "error:" in err and "--boundary" in err
 
@@ -440,7 +448,7 @@ def test_eps_flag_is_gone():
 
 
 @pytest.mark.parametrize("subcommand", ("value", "verify", "figures"))
-def test_convergence_error_exits_2(subcommand, tmp_path, capsys):
+def test_convergence_error_exits_2(subcommand, tmp_path, capsys, one_sweep):
     # backward induction finds no root at node 2 and one Picard sweep does
     # not converge: a convergence error (exit 2), not a traceback, and for
     # verify not a failed verification (exit 1)
@@ -448,16 +456,15 @@ def test_convergence_error_exits_2(subcommand, tmp_path, capsys):
     problem = () if subcommand == "figures" else (
         "--alpha", "1", "--gamma", "0.5", "--z", "-5")
     point = ("--t", "0", "--x", "0") if subcommand == "value" else ()
-    code = run_cli(subcommand, *problem, "--n", "120", "--max-iter", "1",
-                   *point, "--out", str(tmp_path / "out"))
+    code = run_cli(subcommand, *problem, "--n", "120", *point,
+                   "--out", str(tmp_path / "out"))
     assert code == 2
     assert "error:" in capsys.readouterr().err
 
 
-def test_convergence_error_names_both_solvers(capsys):
+def test_convergence_error_names_both_solvers(capsys, one_sweep):
     assert run_cli("value", "--alpha", "1", "--gamma", "0.5", "--z", "-5",
-                   "--n", "120", "--max-iter", "1", "--t", "0",
-                   "--x", "0") == 2
+                   "--n", "120", "--t", "0", "--x", "0") == 2
     err = capsys.readouterr().err
     assert "backward induction found no root at node 2" in err
     assert "Picard" in err
@@ -493,8 +500,9 @@ def test_validation_errors_exit_code(capsys):
 
 def test_verify_rejects_malformed_boundary_file(tmp_path, capsys):
     # a file without data rows, with a row that is not one t,beta pair,
-    # with a nan, starting after 0 or ending before the horizon is a
-    # validation error (exit 2), not a verification result
+    # with a nan, starting after 0, ending before the horizon, with times
+    # that do not increase or with fewer than three rows is a validation
+    # error (exit 2) that names the file, not a verification result
     src = tmp_path / "b.csv"
     for text, message in (
             ("t,beta\n", "data rows"),
@@ -503,7 +511,13 @@ def test_verify_rejects_malformed_boundary_file(tmp_path, capsys):
             ("t,beta\n0.0,0.1\nnan,0.2\n1.0,0.0\n", "finite"),
             ("t,beta\n0.25,0.1\n0.5,0.2\n1.0,0.0\n",
              f"{src}: first time 0.25 is not 0"),
-            ("t,beta\n0.0,0.1\n0.25,0.2\n0.5,0.0\n", "horizon")):
+            ("t,beta\n0.0,0.1\n0.25,0.2\n0.5,0.0\n", "horizon"),
+            ("t,beta\n0.0,0.1\n0.5,0.2\n0.5,0.2\n1.0,0.0\n",
+             f"{src}: grid nodes must be finite, strictly increasing"),
+            ("t,beta\n0.0,0.1\n0.75,0.2\n0.5,0.2\n1.0,0.0\n",
+             f"{src}: grid nodes must be finite, strictly increasing"),
+            ("t,beta\n0.0,0.1\n1.0,0.0\n",
+             f"{src}: grid needs at least three nodes")):
         src.write_text(text)
         assert run_cli("verify", "--boundary", str(src)) == 2
         err = capsys.readouterr().err
@@ -527,7 +541,7 @@ def test_each_subcommand_accepts_only_the_flags_it_reads(monkeypatch,
     flags = {name: sorted(s for a in p._actions for s in a.option_strings
                           if s not in ("-h", "--help"))
              for name, p in sub.choices.items()}
-    common = ["--max-iter", "--n", "--out"]
+    common = ["--n", "--out"]
     problem = sorted(common + ["--alpha", "--gamma", "--horizon", "--theta",
                              "--z"])
     assert flags == {
@@ -537,8 +551,10 @@ def test_each_subcommand_accepts_only_the_flags_it_reads(monkeypatch,
         "figures": common,
     }
 
+    # Picard's sweep cap is not a flag of any subcommand
     for argv in (("figures", "--alpha", "5"), ("solve", "--seed", "1"),
-                 ("solve", "--paths", "0"), ("value", "--paths", "5")):
+                 ("solve", "--paths", "0"), ("value", "--paths", "5"),
+                 *((name, "--max-iter", "7") for name in flags)):
         with pytest.raises(SystemExit) as err:
             run_cli(*argv)
         assert err.value.code == 2

@@ -481,6 +481,12 @@ def test_solved_boundary_eval_endpoints():
     for bad in (2.5, -0.1, math.nan, np.array([1.0, math.nan])):
         with pytest.raises(ValueError, match=r"t in \[0, 2\.0\]"):
             sol.eval(bad)
+    # canonical 1 maps to the horizon exactly, so no node lies past it (at
+    # T = 0.104 the product with a rounded 1 / T gave 0.10400000000000001)
+    sol = solve_boundary(OUBParams(alpha=1.0, gamma=1.0, z=0.0,
+                                   horizon=0.104), SolverConfig(n=60))
+    assert sol.nodes[-1] == 0.104
+    assert np.max(np.abs(sol.eval(sol.nodes) - sol.values)) <= 1e-15
 
 
 def test_solve_boundary_method_choice():
