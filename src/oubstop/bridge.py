@@ -120,15 +120,19 @@ def reduce_to_canonical(params: OUBParams) -> CanonicalReduction:
     Shifting by theta maps the bridge onto one pinned at z - theta; running
     the clock at rate 1/T maps horizon T onto 1 with slope alpha*T and
     volatility gamma*sqrt(T). A canonical slope |alpha|*T above 700 is
-    refused: the kernel overflows soon after.
+    refused: the kernel overflows soon after. So is an infinite gamma^2.
     """
     alpha = abs(params.alpha * params.horizon)
     if alpha > _MAX_ALPHA:
         raise ValueError(f"|alpha| * horizon must be <= {_MAX_ALPHA:g} (the "
                          f"kernel overflows soon after), got {alpha!r}")
+    gamma = params.gamma * math.sqrt(params.horizon)
+    if not math.isfinite(gamma * gamma):
+        raise ValueError("(gamma * sqrt(horizon))^2 overflows, got "
+                         f"gamma * sqrt(horizon) = {gamma!r}")
     canonical = OUBParams(
         alpha=alpha,
-        gamma=params.gamma * math.sqrt(params.horizon),
+        gamma=gamma,
         z=params.z - params.theta,
         theta=0.0,
         horizon=1.0,

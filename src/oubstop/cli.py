@@ -22,10 +22,6 @@ import numpy as np
 from .bridge import OUBParams, reduce_to_canonical
 from .kernel import KernelQuery, drift_kernel
 from .mc import MCConfig, kernel_oracle, perturbation_test
-# Not called here (verify takes perturbation_test's baseline; picard_solve is
-# solve_boundary's fallback), but perfbench/workloads.py CALL_SITES wraps
-# both names in this module, so they stay importable from it.
-from .mc import simulate_stopped_payoff  # noqa: F401
 from .pricing import ValueSurfaceQuery, value
 from .solver import (
     BoundarySolution,
@@ -36,8 +32,13 @@ from .solver import (
     _SHEPP,
     solve_boundary,
 )
+from .transform import make_context
+# Not called here (verify takes perturbation_test's baseline, picard_solve is
+# solve_boundary's fallback, boundary_lower_bound needs no transform map),
+# but perfbench/workloads.py CALL_SITES wraps these names in this module.
+from .mc import simulate_stopped_payoff  # noqa: F401
 from .solver import picard_solve  # noqa: F401
-from .transform import envelope, envelope_deriv, make_context, original_to_transformed
+from .transform import envelope, envelope_deriv, original_to_transformed  # noqa: F401
 
 __all__ = ["main", "build_parser"]
 
@@ -236,24 +237,21 @@ def _verify_checks(params: OUBParams, sol: BoundarySolution, mc: MCConfig):
                 if entry.mean_diff != 0.0 else 0.0
         yield (name, stat, 3.0, stat <= 3.0)
 
-    # Transformed-coordinate lower bound at the initial node: below
-    # c_z*(f - s f')/f' the gain strictly grows in time, so the true
-    # boundary cannot start there. The margin equals
-    # (beta(0) - z/cosh(alpha))/scale; drift_sign_bound checks every node.
-    ctx = make_context(params)
-    s0, b0 = original_to_transformed(ctx, 0.0, float(sol.beta[0]))
-    f0 = envelope(ctx.alpha, s0)
-    fp0 = envelope_deriv(ctx.alpha, s0)
-    margin = float(b0 - ctx.c_z * (f0 - s0 * fp0) / fp0)
-    yield ("boundary_lower_bound", margin, 0.0, margin > 0.0)
-
     # The drift is > 0 below z/cosh(alpha(1-t)), where waiting pays, so the
-    # true boundary stays above that bound at every t. A discrete boundary
-    # that crosses it at some node is wrong there: the mesh does not
-    # resolve a strong pull towards a far-away pin. The margin of nodes
-    # 0..N-2 is in units of the node's step scale gamma*sqrt(t_{i+1} - t_i).
+    # true boundary stays above that bound at every t; gap is the margin of
+    # nodes 0..N-2 above it.
     t = sol.grid.nodes[:-1]
     gap = sol.beta[:-2] - z / np.cosh(params.alpha * (1.0 - t[:-1]))
+
+    # The transformed lower bound at t = 0, b(0) - c_z f(0)/f'(0), below
+    # which the gain grows in time, is gap[0] / scale: upsilon(0) = 0,
+    # f(0) = 1 and f'(0) = cosh(alpha).
+    margin = float(gap[0] / make_context(params).scale)
+    yield ("boundary_lower_bound", margin, 0.0, margin > 0.0)
+
+    # A node below the bound is wrong: the mesh does not resolve a strong
+    # pull towards a far-away pin. Margins are in units of the node's step
+    # scale gamma*sqrt(t_{i+1} - t_i).
     margin = float(np.min(gap / (gamma * np.sqrt(np.diff(t)))))
     yield ("drift_sign_bound", margin, 0.0, margin > 0.0)
 

@@ -462,16 +462,13 @@ class SolvedBoundary:
         object.__setattr__(self, "values", values)
 
     def eval(self, t):
-        """Boundary value at original time t in [0, horizon]."""
-        params = self.reduction.original
+        """Piecewise-linear boundary at original time t in [0, horizon]."""
         t = np.asarray(t, dtype=float)
-        if not ((0.0 <= t) & (t <= params.horizon)).all():
+        horizon = float(self.nodes[-1])  # the horizon exactly
+        if not ((0.0 <= t) & (t <= horizon)).all():
             raise ValueError(f"SolvedBoundary.eval requires t in "
-                             f"[0, {params.horizon!r}]")
-        tc = self.reduction.to_canonical_time(t)
-        out = self.reduction.from_canonical_space(
-            boundary_eval(self.canonical, tc))
-        return np.where(t == params.horizon, params.z, out)[()]
+                             f"[0, {horizon!r}]")
+        return np.interp(t, self.nodes, self.values)[()]
 
 
 def solve_boundary(params: OUBParams,

@@ -8,8 +8,8 @@ problem for a Brownian motion Y on [0, inf) with gain
 
 under the strictly increasing clock s = upsilon(t) and the space scaling
 y = x / scale with scale = gamma * sqrt(sinh(alpha)/alpha). oubstop solves
-and prices in original coordinates; this module maps boundary points
-forward into transformed coordinates for verify's initial-node lower bound.
+and prices in original coordinates; verify's initial-node lower bound is
+(beta(0) - z/cosh(alpha)) / scale, so production uses only make_context.
 
 Everywhere the constant `scale` replaces the ratio z / c_z: the two agree
 when z != 0, but the ratio is 0/0 at z = 0 while the map itself is regular.

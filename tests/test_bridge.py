@@ -210,6 +210,16 @@ def test_reduce_refuses_slope_past_kernel_limit():
             solve_boundary(p, SolverConfig(n=20))
 
 
+def test_reduce_refuses_volatility_whose_square_overflows():
+    # the kernel squares the canonical volatility gamma * sqrt(T)
+    red = reduce_to_canonical(OUBParams(alpha=1.0, gamma=1e154, z=0.0))
+    assert red.canonical.gamma == 1e154
+    for gamma, horizon in ((1.5e154, 1.0), (1e154, 4.0), (1e308, 1.0)):
+        p = OUBParams(alpha=1.0, gamma=gamma, z=0.0, horizon=horizon)
+        with pytest.raises(ValueError, match=r"\^2 overflows"):
+            reduce_to_canonical(p)
+
+
 def test_reduction_round_trip_one_ulp():
     rng = np.random.default_rng(11)
     for theta, horizon in [(0.3, 3.0), (-1.7, 0.25), (5.0, 1.0), (0.0, 7.0)]:

@@ -16,6 +16,10 @@ from oubstop import (
     ValueSurfaceQuery,
     backward_solve,
     boundary_eval,
+    envelope,
+    envelope_deriv,
+    make_context,
+    original_to_transformed,
     reduce_to_canonical,
     simulate_stopped_payoff,
     solve_boundary,
@@ -236,6 +240,17 @@ def test_verify_lower_bound_away_from_zero_pin(alpha, gamma, z, tmp_path):
                if r.startswith("boundary_lower_bound,"))
     _, margin, _, result = row.split(",")
     assert result == "pass" and float(margin) > 0.0
+    # the row is the paper's b(0) - c_z (f(0) - s f'(0)) / f'(0), s = 0,
+    # computed in original coordinates as the drift-sign gap over the scale
+    params = OUBParams(alpha=alpha, gamma=gamma, z=z)
+    sol = solve_boundary(params, SolverConfig(n=500)).canonical
+    rows = {r[0]: r[1] for r in cli._verify_checks(
+        params, sol, MCConfig(paths=10, seed=1))}
+    ctx = make_context(params)
+    s0, b0 = original_to_transformed(ctx, 0.0, float(sol.beta[0]))
+    f0, fp0 = envelope(ctx.alpha, s0), envelope_deriv(ctx.alpha, s0)
+    paper = float(b0 - ctx.c_z * (f0 - s0 * fp0) / fp0)
+    assert rows["boundary_lower_bound"] == pytest.approx(paper, rel=1e-12)
 
 
 @pytest.mark.parametrize("alpha,z,passes", [(1.0, 0.0, True),
@@ -393,6 +408,30 @@ def test_verify_at_largest_accepted_alpha(capsys):
                    "--paths", "10") == 2
     assert "error: |alpha| * horizon must be <= 700" \
         in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [("solve",), ("value", "--t", "0", "--x", "0"),
+                                  ("verify", "--paths", "10")])
+def test_volatility_whose_square_overflows_is_refused(argv, capsys):
+    # the kernel squares the canonical gamma * sqrt(T), which overflows from
+    # about 1.34e154: a validation error (exit 2), not a traceback with
+    # exit 1, the code verify keeps for failed checks
+    assert run_cli(*argv, "--n", "20", "--gamma", "1.5e154") == 2
+    err = capsys.readouterr().err
+    assert "error: (gamma * sqrt(horizon))^2 overflows" in err
+    assert "Traceback" not in err
+    # the refusal is of the canonical volatility: 1e154 * sqrt(4)
+    assert run_cli(*argv, "--n", "20", "--gamma", "1e154",
+                   "--horizon", "4") == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_large_volatility_below_the_refusal_still_solves(tmp_path):
+    out = tmp_path / "b.csv"
+    assert run_cli("solve", "--gamma", "1e150", "--n", "60",
+                   "--out", str(out)) == 0
+    _, beta = read_boundary_csv(str(out))
+    assert beta[-1] == 0.0 and beta[0] > 1e149
 
 
 @pytest.mark.parametrize("paths", [3, 4, 5])

@@ -482,11 +482,32 @@ def test_solved_boundary_eval_endpoints():
         with pytest.raises(ValueError, match=r"t in \[0, 2\.0\]"):
             sol.eval(bad)
     # canonical 1 maps to the horizon exactly, so no node lies past it (at
-    # T = 0.104 the product with a rounded 1 / T gave 0.10400000000000001)
-    sol = solve_boundary(OUBParams(alpha=1.0, gamma=1.0, z=0.0,
-                                   horizon=0.104), SolverConfig(n=60))
-    assert sol.nodes[-1] == 0.104
-    assert np.max(np.abs(sol.eval(sol.nodes) - sol.values)) <= 1e-15
+    # T = 0.104 the product with a rounded 1 / T gave 0.10400000000000001);
+    # eval interpolates the nodes it returns, so it gives back the values
+    # exactly
+    for theta, horizon in ((1.0, 3.0), (0.0, 0.104)):
+        sol = solve_boundary(OUBParams(alpha=1.0, gamma=1.0, z=0.0,
+                                       theta=theta, horizon=horizon),
+                             SolverConfig(n=60))
+        assert sol.nodes[-1] == horizon
+        assert np.array_equal(sol.eval(sol.nodes), sol.values)
+
+
+@pytest.mark.parametrize("alpha,gamma,z,theta,horizon", [
+    (1.0, 1.0, 0.3, 0.1, 2.0), (1.0, 1.0, 0.0, 1.0, 3.0),
+    (2.0, 0.5, -1.0, -2.0, 0.104)])
+def test_solved_boundary_eval_between_nodes(alpha, gamma, z, theta, horizon):
+    # between the nodes eval agrees with interpolation in canonical
+    # coordinates, mapped back, to rounding
+    sol = solve_boundary(OUBParams(alpha=alpha, gamma=gamma, z=z,
+                                   theta=theta, horizon=horizon),
+                         SolverConfig(n=60))
+    red = sol.reduction
+    t = np.random.default_rng(4).uniform(0.0, horizon, 2000)
+    canonical = red.from_canonical_space(
+        boundary_eval(sol.canonical, red.to_canonical_time(t)))
+    ulp = np.spacing(np.max(np.abs(sol.values)))
+    assert np.max(np.abs(sol.eval(t) - canonical)) <= 8 * ulp
 
 
 def test_solve_boundary_method_choice():
