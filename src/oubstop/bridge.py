@@ -111,6 +111,10 @@ class CanonicalReduction:
 # numerator once |alpha| passes about 704.6 (rem nears |alpha| at the first
 # node of a fine mesh); 700 leaves a margin.
 _MAX_ALPHA = 700.0
+# Smallest canonical gamma*sqrt(T) accepted. The solvers scale with gamma
+# down to about 1e-151; below, the kernel's variance is subnormal, and from
+# 2^-505 (about 9.5e-153) backward induction fails. 1e-100 leaves a margin.
+_MIN_GAMMA = 1e-100
 
 
 def reduce_to_canonical(params: OUBParams) -> CanonicalReduction:
@@ -120,7 +124,8 @@ def reduce_to_canonical(params: OUBParams) -> CanonicalReduction:
     Shifting by theta maps the bridge onto one pinned at z - theta; running
     the clock at rate 1/T maps horizon T onto 1 with slope alpha*T and
     volatility gamma*sqrt(T). A canonical slope |alpha|*T above 700 is
-    refused: the kernel overflows soon after. So is an infinite gamma^2.
+    refused: the kernel overflows soon after. So are an infinite gamma^2
+    and a canonical gamma below 1e-100, where the solvers lose the scale.
     """
     alpha = abs(params.alpha * params.horizon)
     if alpha > _MAX_ALPHA:
@@ -130,6 +135,9 @@ def reduce_to_canonical(params: OUBParams) -> CanonicalReduction:
     if not math.isfinite(gamma * gamma):
         raise ValueError("(gamma * sqrt(horizon))^2 overflows, got "
                          f"gamma * sqrt(horizon) = {gamma!r}")
+    if gamma < _MIN_GAMMA:
+        raise ValueError(f"gamma * sqrt(horizon) must be >= {_MIN_GAMMA:g}, "
+                         f"got {gamma!r}")
     canonical = OUBParams(
         alpha=alpha,
         gamma=gamma,

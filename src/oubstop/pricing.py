@@ -48,7 +48,7 @@ def value(params: OUBParams, sol: BoundarySolution, q: ValueSurfaceQuery,
     if clamp and q.x >= boundary_eval(sol, q.t):
         return float(q.x)
     # a start in the dropped terminal strip has an empty row: V = z
-    _, j, w, table = _riemann_rows(params, sol.grid.nodes, q.t)
+    _, j, table = _riemann_rows(params, sol.grid.nodes, q.t)
     k = drift_kernel(params, None, q.x, None, sol.beta[j], table=table)
-    return float(params.z - np.dot(k, w))
+    return float(params.z - k.sum())
 

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfc
 
 from .bridge import (
     CanonicalReduction,
@@ -88,8 +87,8 @@ class TimeGrid:
 class SolverConfig:
     """Solver knobs; defaults follow the reference setup (N = 500,
     logarithmic mesh). backward_solve reads n only: eps (1e-4) is
-    picard_solve's tolerance and max_iter caps its sweeps (up to 254 over
-    the documented envelope at N = 500, 330 over the 168 grid problems)."""
+    picard_solve's tolerance, relative to gamma, and max_iter caps its
+    sweeps (up to 281 over the envelope at N = 500, 382 over the grid)."""
 
     n: int = 500
     eps: float = 1e-4
@@ -150,7 +149,7 @@ def boundary_eval(sol: BoundarySolution, t):
 def _riemann_rows(params: OUBParams, nodes: np.ndarray, starts):
     """The right Riemann sum of integral_s^1 K(s, ., u, .) du on the grid
     nodes, for each start s in starts (0 <= s < 1), as row offsets head,
-    flat arrays (j, w) and the KernelTable of their time pairs (s, t_j).
+    flat array j and the KernelTable of the time pairs (s, t_j) and w.
 
     Row r sums w * K(s, ., t_j, .) over the right endpoints t_j in
     (s, t_{N-1}], where w is the width from t_j back to the previous
@@ -171,8 +170,8 @@ def _riemann_rows(params: OUBParams, nodes: np.ndarray, starts):
     w = np.diff(nodes)[j - 1]
     live = counts > 0
     w[head[live]] = nodes[first[live]] - starts[live]
-    table = KernelTable(params, np.repeat(starts, counts), nodes[j])
-    return head, j, w, table
+    table = KernelTable(params, np.repeat(starts, counts), nodes[j], w)
+    return head, j, table
 
 
 # Table entries per block of rows (_row_blocks): a budget, not a row count,
@@ -199,13 +198,12 @@ def _picard_sweep(params: OUBParams, blocks, beta: np.ndarray,
     row blocks (lo, rows) of _row_blocks. work, two float arrays as long as
     the longest block, takes a block's beta_j and kernel values."""
     new = np.full_like(beta, params.z)
-    for lo, (head, j, w, table) in blocks:
+    for lo, (head, j, table) in blocks:
         x1 = np.repeat(beta[lo:lo + head.size], np.diff(head, append=j.size))
         x2, k = work[0, :j.size], work[1, :j.size]
         np.take(beta, j, out=x2)
         drift_kernel(params, None, x1, None, x2, table=table,
                      _work=(x1, x2, k))
-        k *= w
         new[lo:lo + head.size] -= np.add.reduceat(k, head)
     return new
 
@@ -220,28 +218,28 @@ def picard_solve(params: OUBParams, cfg: SolverConfig = SolverConfig()) -> Bound
     """Solve the discretised free-boundary equation by Picard iteration,
     Anderson-mixed.
 
-    Starts from max(z/cosh(alpha(1 - t)), z + _SHEPP*gamma*sqrt(1 - t)),
-    z at t_{N-1} and t_N: the drift-sign bound, below which waiting pays,
-    or Shepp's asymptote where that is higher. Each sweep G maps an
-    iterate x to G(x); the run stops at the first sweep whose change
-    sup|G(x) - x| is below cfg.eps and returns x, that change being its
-    own residual, final_residual. Otherwise the next iterate is G(x) less
-    a combination of the last _MIX_DEPTH differences of sweep outputs, its
-    coefficients the least-squares fit of G(x) - x by the differences of
-    sweep changes (Anderson mixing). Where a mixed iterate's change is not
-    smaller than the previous one, that iterate and the differences are
-    dropped: G(x) itself is the next iterate, and the differences start
-    afresh from its sweep. iterations counts the sweeps, max_iter caps
-    them. Raises ConvergenceError, with the last iterate swept and its
-    change attached, if max_iter is exhausted, or at the first sweep that
-    gives a non-finite boundary. At N = 500 it takes 10 sweeps at alpha =
-    gamma = 1, z = 0, 28 at alpha = 1, gamma = 0.5, z = -5, at most 330
-    over the 168 grid problems. Its row blocks, kept for every sweep, are
-    8 arrays over N(N-1)/2 entries: 128 MB at N = 2000.
+    Starts from max(z/cosh(alpha(1 - t)), z + _SHEPP*gamma*sqrt(1 - t)), z
+    at t_{N-1} and t_N: the drift-sign bound, below which waiting pays, or
+    Shepp's asymptote where that is higher. Each sweep G maps an iterate x
+    to G(x); the run stops at the first sweep whose change sup|G(x) - x| is
+    below cfg.eps*gamma and returns x, that change being its own residual,
+    final_residual. Otherwise the next iterate is G(x) less a combination of
+    the last _MIX_DEPTH differences of sweep outputs, its coefficients the
+    least-squares fit of G(x) - x by the differences of sweep changes
+    (Anderson mixing). Where a mixed iterate's change is not smaller than
+    the previous one, that iterate and the differences are dropped: G(x)
+    itself is the next iterate, and the differences start afresh from its
+    sweep. iterations counts the sweeps, max_iter caps them. Raises
+    ConvergenceError, with the last iterate swept and its change attached,
+    if max_iter is exhausted, or at the first sweep that gives a non-finite
+    boundary. At N = 500 it takes 10 sweeps at alpha = gamma = 1, z = 0, 30
+    at alpha = 1, gamma = 0.5, z = -5, at most 382 over the 168 grid
+    problems. Its row blocks, kept for every sweep, are 7 arrays over
+    N(N-1)/2 entries (j and the weighted table): 112 MB at N = 2000.
     """
     _require_canonical(params)
     grid = cfg.build_grid()
-    t, z = grid.nodes, params.z
+    t, z, eps = grid.nodes, params.z, cfg.eps * params.gamma
     blocks = list(_row_blocks(params, t))
     work = np.empty((2, max(rows[1].size for _, rows in blocks)))
     x = np.maximum(z / np.cosh(params.alpha * (1.0 - t)),
@@ -253,7 +251,7 @@ def picard_solve(params: OUBParams, cfg: SolverConfig = SolverConfig()) -> Bound
         g = _picard_sweep(params, blocks, x, work)
         f = g - x
         residual = float(np.max(np.abs(f)))
-        if not cfg.eps <= residual < math.inf or k == cfg.max_iter:
+        if not eps <= residual < math.inf or k == cfg.max_iter:
             break
         x = g
         if df and not residual < last[2]:  # swept a mixed iterate, no better
@@ -275,9 +273,9 @@ def picard_solve(params: OUBParams, cfg: SolverConfig = SolverConfig()) -> Bound
     if not math.isfinite(residual):
         raise ConvergenceError(f"Picard sweep {k} gave a non-finite "
                                "boundary", sol)
-    if not residual < cfg.eps:
+    if not residual < eps:
         raise ConvergenceError(
-            f"Picard iteration did not reach eps={cfg.eps:g} within "
+            f"Picard iteration did not reach eps*gamma={eps:g} within "
             f"{cfg.max_iter} sweeps (last residual {residual:.3e})", sol)
     return sol
 
@@ -288,18 +286,19 @@ _MAX_NODE_STEPS = 40
 
 
 def _node_root(h, x: float, b0: float, width: float, step: float,
-               slope: float, tol: float):
+               slope: float, gamma: float):
     """The first sign change of h, which rises through it, from x out.
 
     x is first clamped into b0 +- width. Until h changes sign each step
-    heads down where h > 0 and up otherwise, never past b0 +- width: by
-    the secant through the last two points (first: the Newton step by
-    slope), or by twice the last step (first: step) where that is shorter
-    or the secant turns back. Illinois steps (regula falsi halving h at an
-    end kept twice running) then close in until |h| < tol or the bracket is
-    at rounding width. Returns (b, h(b), slope, steps, error), error None
-    on success; slope is the secant of h's last two points, the given one
-    where the first is accepted.
+    heads down where h > 0 and up otherwise, never past b0 +- width: by the
+    secant through the last two points (first: the Newton step by slope), or
+    by twice the last step (first: step) where that is shorter or the secant
+    turns back. Illinois steps (regula falsi halving h at an end kept twice
+    running) then close in until |h| < 1e-12*gamma or the bracket is
+    narrower than 1e-15*(gamma + |b|): h and b are in units of gamma, so
+    every tolerance scales with it. Returns (b, h(b), slope, steps, error),
+    error None on success; slope is the secant of h's last two points, the
+    given one where the first is accepted.
     """
     a = fa = b = fb = math.nan  # the last two points; h(a)h(b) < 0 once
     x, bracketed = min(max(x, b0 - width), b0 + width), False
@@ -309,7 +308,7 @@ def _node_root(h, x: float, b0: float, width: float, step: float,
             return x, fx, slope, steps, "h is not finite"
         if steps > 1 and x != b:
             slope = (fx - fb) / (x - b)
-        if abs(fx) < tol:
+        if abs(fx) < 1e-12 * gamma:
             return x, fx, slope, steps, None
         if bracketed and (fx > 0.0) == (fb > 0.0):
             fa *= 0.5
@@ -318,7 +317,7 @@ def _node_root(h, x: float, b0: float, width: float, step: float,
             a, fa = b, fb
         b, fb = x, fx
         if bracketed:
-            if abs(b - a) < 1e-15 * (1.0 + abs(b)):
+            if abs(b - a) < 1e-15 * (gamma + abs(b)):
                 return b, fb, slope, steps, None
             x = b - fb * (b - a) / (fb - fa)
             continue
@@ -332,47 +331,6 @@ def _node_root(h, x: float, b0: float, width: float, step: float,
     return b, fb, slope, steps, f"|h| = {abs(fb):.3e} after {steps} steps"
 
 
-def _fold_rows(w: np.ndarray, table: KernelTable):
-    """Fold a block's Riemann weights into its table, in place: returns
-    (q, shift, inv_v, a, b, c), the table's own arrays (w is spent as
-    scratch), such that with p = (beta_j - shift) inv_v an entry's
-    w*K(t_i, x, t_j, beta_j) is (a - x b) erfc(p - q x) - c exp(-(p - q x)^2):
-    q = slope inv_v, a = w (cz - cm shift), b = w cm slope, c = w cv."""
-    q, shift, inv_v = table.slope, table.shift, table.inv_v
-    a, b, c = table.cz, table.cm, table.cv
-    c *= w
-    a *= w
-    b *= w
-    np.multiply(b, shift, out=w)
-    a -= w
-    b *= q
-    q *= inv_v
-    return q, shift, inv_v, a, b, c
-
-
-def _node_residual(rows, x2: np.ndarray, z: float, work: np.ndarray):
-    """h(x) = x - z + sum_j w_j K(t_i, x, t_j, x2_j) on one node's folded
-    row (the six _fold_rows arrays sliced to it), x2 the later nodes' beta.
-    work, three float arrays at least as long as the row, takes p and each
-    evaluation's arguments and values."""
-    q, shift, inv_v, a, b, c = rows
-    p, u, e = work[:, :q.size]
-    np.subtract(x2, shift, out=p)
-    p *= inv_v
-
-    def h(x: float) -> float:
-        np.multiply(q, x, out=u)
-        np.subtract(p, u, out=u)
-        erfc(u, out=e)
-        s = a.dot(e) - x * b.dot(e)
-        np.square(u, out=u)
-        np.negative(u, out=u)
-        np.exp(u, out=u)
-        return float(x - z + s - c.dot(u))
-
-    return h
-
-
 def backward_solve(params: OUBParams, cfg: SolverConfig = SolverConfig()) -> BoundarySolution:
     """Solve the discretised free-boundary equation exactly, node by node.
 
@@ -381,23 +339,22 @@ def backward_solve(params: OUBParams, cfg: SolverConfig = SolverConfig()) -> Bou
     sum_j w_j K(t_i, b, t_j, beta_j) within 2*gamma*sqrt(t_{i+1} - t_i) of
     beta_{i+1} (over the envelope at N >= 120 smooth boundaries move by
     less than half that). Each node is one _node_root search, accepted at
-    |h| < 1e-12*max(1, gamma). Node i starts at the quadratic
-    extrapolation of beta_{i+1..i+3} (the two nodes before t_{N-1}: at
-    beta_{i+1}); its first step is the Newton step by the slope of h that
-    the last node's search measured (1 at first), at most the last node's
-    move. _MAX_NODE_STEPS caps the steps (kernel rows) per node;
-    iterations counts them. Picard's row blocks (_row_blocks) are built
-    one at a time, from the last, and the weights folded into their tables
-    (_fold_rows); their nodes are solved from the last, each on slices of
-    the block's rows. Of cfg it reads n only. At far pins h can stay just
-    below zero near the boundary, its nearest root far off. A node with no
-    root in its window, or out of steps, raises ConvergenceError (with the
-    partial solution) instead.
+    |h| < 1e-12*gamma. Node i starts at the quadratic extrapolation of
+    beta_{i+1..i+3} (the two nodes before t_{N-1}: at beta_{i+1}); its
+    first step is the Newton step by the slope of h that the last node's
+    search measured (1 at first), at most the last node's move.
+    _MAX_NODE_STEPS caps the steps (kernel rows) per node; iterations
+    counts them. Picard's row blocks (_row_blocks) are built one at a
+    time, from the last, and their nodes solved from the last, each on its
+    row of the block's weighted table (KernelTable.residual). Of cfg it
+    reads n only. At far pins h can stay just below zero near the
+    boundary, its nearest root far off. A node with no root in its window,
+    or out of steps, raises ConvergenceError (with the partial solution)
+    instead.
     """
     _require_canonical(params)
     grid = cfg.build_grid()
     t, n, z = grid.nodes, grid.n, params.z
-    tol = 1e-12 * max(1.0, params.gamma)
     beta = np.full(n + 1, z, dtype=float)
     tl = t.tolist()
     b1 = b2 = b3 = z  # beta_{i+1}, beta_{i+2}, beta_{i+3}
@@ -405,15 +362,11 @@ def backward_solve(params: OUBParams, cfg: SolverConfig = SolverConfig()) -> Bou
     slope = 1.0
     work = np.empty((3, n))
     total, worst = 0, 0.0
-    for low, (head, j, w, table) in _row_blocks(params, t):
-        rows = _fold_rows(w, table)
-        ends = head[1:].tolist() + [j.size]
-        head = head.tolist()
-        del j, w, table
-        for i in range(low + len(head) - 1, low - 1, -1):
-            row = slice(head[i - low], ends[i - low])
-            h = _node_residual([r[row] for r in rows], beta[i + 1:n], z,
-                               work)
+    for low, (head, j, table) in _row_blocks(params, t):
+        head = np.append(head, j.size).tolist()  # row r: head[r]..head[r+1]
+        for i in range(low + len(head) - 2, low - 1, -1):
+            h = table.residual(slice(head[i - low], head[i - low + 1]),
+                               beta[i + 1:n], z, work)
             width = 2.0 * params.gamma * math.sqrt(tl[i + 1] - tl[i])
             x = b1
             if i + 3 < n:
@@ -422,7 +375,7 @@ def backward_solve(params: OUBParams, cfg: SolverConfig = SolverConfig()) -> Bou
                      + b2 * (t0 - t1) * (t0 - t3) / ((t2 - t1) * (t2 - t3))
                      + b3 * (t0 - t1) * (t0 - t2) / ((t3 - t1) * (t3 - t2)))
             b, hb, slope, steps, error = _node_root(h, x, b1, width, step,
-                                                    slope, tol)
+                                                    slope, params.gamma)
             total += steps
             worst = max(worst, abs(hb))
             if error is not None:
@@ -431,9 +384,9 @@ def backward_solve(params: OUBParams, cfg: SolverConfig = SolverConfig()) -> Bou
                 raise ConvergenceError(f"backward induction found no root "
                                        f"at node {i}: {error}", sol)
             beta[i] = b
-            step = max(abs(b - b1), tol)
+            step = max(abs(b - b1), 1e-12 * params.gamma)
             b1, b2, b3 = b, b1, b2
-        del rows, h  # free the block before the next is built
+        del j, table, h  # free the block before the next is built
 
     return BoundarySolution(grid=grid, beta=beta, iterations=total,
                             final_residual=worst, method="backward")

@@ -220,6 +220,18 @@ def test_reduce_refuses_volatility_whose_square_overflows():
             reduce_to_canonical(p)
 
 
+def test_reduce_refuses_volatility_below_the_floor():
+    # the solvers scale with gamma down to about 1e-151; the canonical
+    # gamma * sqrt(T) must be at least 1e-100
+    red = reduce_to_canonical(OUBParams(alpha=1.0, gamma=1e-100, z=0.0))
+    assert red.canonical.gamma == 1e-100
+    for gamma, horizon in ((np.nextafter(1e-100, 0.0), 1.0), (1e-100, 0.25),
+                           (1e-200, 1.0), (5e-324, 1.0)):
+        p = OUBParams(alpha=1.0, gamma=gamma, z=0.0, horizon=horizon)
+        with pytest.raises(ValueError, match="must be >= 1e-100"):
+            reduce_to_canonical(p)
+
+
 def test_reduction_round_trip_one_ulp():
     rng = np.random.default_rng(11)
     for theta, horizon in [(0.3, 3.0), (-1.7, 0.25), (5.0, 1.0), (0.0, 7.0)]:

@@ -434,6 +434,37 @@ def test_large_volatility_below_the_refusal_still_solves(tmp_path):
     assert beta[-1] == 0.0 and beta[0] > 1e149
 
 
+@pytest.mark.parametrize("argv", [("solve",), ("value", "--t", "0", "--x", "0"),
+                                  ("verify", "--paths", "10")])
+def test_volatility_below_the_floor_is_refused(argv, capsys):
+    # below a canonical gamma * sqrt(T) of 1e-100 the kernel's variance
+    # nears the subnormal range (divide by zero at 1e-200): a validation
+    # error, exit 2, without a traceback or a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(*argv, "--n", "20", "--gamma", "1e-200") == 2
+    err = capsys.readouterr().err
+    assert "error: gamma * sqrt(horizon) must be >= 1e-100" in err
+    assert "Traceback" not in err
+    # the refusal is of the canonical volatility: 1e-100 * sqrt(0.25)
+    assert run_cli(*argv, "--n", "20", "--gamma", "1e-100",
+                   "--horizon", "0.25") == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_small_volatility_at_the_floor_still_solves(tmp_path):
+    # at gamma = 1e-100 the boundary is gamma times the unit one
+    out, unit = tmp_path / "b.csv", tmp_path / "u.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("solve", "--gamma", "1e-100", "--z", "5e-100",
+                       "--out", str(out)) == 0
+    assert run_cli("solve", "--z", "5", "--out", str(unit)) == 0
+    _, beta = read_boundary_csv(str(out))
+    _, beta1 = read_boundary_csv(str(unit))
+    assert np.max(np.abs(beta / 1e-100 - beta1)) <= 1e-9
+
+
 @pytest.mark.parametrize("paths", [3, 4, 5])
 def test_verify_constant_paired_difference_is_certain(paths, tmp_path):
     # a strong pull where both shifted rules differ from the unshifted one

@@ -126,11 +126,15 @@ def test_kernel_broadcasts(std_params):
     assert out.shape == (3,)
     for i in range(3):
         assert out[i] == drift_kernel(p, 0.0, 0.0, float(t2[i]), float(x2[i]))
+    # x1 and x2 may have more entries than the time pairs
+    wide = drift_kernel(p, 0.2, np.array([[-1.0], [0.0]]), 0.7, x2)
+    assert wide.shape == (2, 3)
+    assert wide[1, 2] == drift_kernel(p, 0.2, 0.0, 0.7, float(x2[2]))
 
 
-def _reference_table(params, t1, t2):
-    """KernelTable's coefficients as written before it computed them in
-    place: one fresh array per operation."""
+def _reference_table(params, t1, t2, w=1.0):
+    """KernelTable's arrays as written before it computed them in place:
+    one fresh array per operation, and the weights folded in last."""
     t1, t2 = np.atleast_1d(np.asarray(t1, dtype=float),
                            np.asarray(t2, dtype=float))
     aa = abs(params.alpha)
@@ -145,27 +149,51 @@ def _reference_table(params, t1, t2):
     cz = 0.5 * aa * params.z / sinh_rem
     cm = 0.5 * aa * np.cosh(rem) / sinh_rem
     cv = 2.0 * (1.0 / math.sqrt(2.0 * math.pi)) * cm * v
-    return dict(slope=slope, shift=shift, inv_v=inv_v, cz=cz, cm=cm, cv=cv)
+    wcm = w * cm
+    return dict(q=slope * inv_v, shift=shift, inv_v=inv_v,
+                a=w * cz - wcm * shift, b=wcm * slope, c=w * cv)
 
 
 def test_kernel_table_matches_reference_formula():
     # the in-place constructor keeps every operation and its order, so
-    # every coefficient is the formula's bit for bit; direct == tabled
-    # checks cannot see this, both sides go through the constructor
+    # every array is the formula's bit for bit, with and without weights;
+    # direct == tabled checks cannot see this, both sides go through the
+    # constructor
     rng = np.random.default_rng(23)
     t2 = np.concatenate([rng.uniform(0.0, 1.0, 400),
                          [np.nextafter(1.0, 0.0), 1.0 - 1e-12, 0.5, 0.999]])
     t1 = t2 * rng.uniform(0.0, 1.0, t2.size)
     t1[-2:] = t2[-2:] - 1e-12
     t1[-4] = 0.0
+    w = rng.uniform(0.0, 0.01, t2.size)
     for alpha, gamma, z in itertools.product(
             (1e-4, 0.5, -2.0, 5.0, 700.0), (0.25, 2.0), (-10.0, 0.0, 5.0)):
         p = OUBParams(alpha=alpha, gamma=gamma, z=z)
-        for s1, s2 in ((t1, t2), (0.0, t2[:-4]), (t1[:3], 0.999)):
-            table = KernelTable(p, s1, s2)
-            for name, want in _reference_table(p, s1, s2).items():
+        for s1, s2, sw in ((t1, t2, 1.0), (t1, t2, w), (0.0, t2[:-4], 1.0),
+                           (t1[:3], 0.999, w[:3])):
+            table = KernelTable(p, s1, s2, sw)
+            for name, want in _reference_table(p, s1, s2, sw).items():
                 got = getattr(table, name)
                 assert np.array_equal(got, np.broadcast_to(want, got.shape))
+
+
+def test_kernel_table_residual_leaves_the_table_unchanged():
+    # a table evaluates bit for bit as a fresh one after a residual was
+    # taken and called on its rows
+    p = OUBParams(alpha=1.0, gamma=0.5, z=-1.0)
+    t2 = np.linspace(0.1, 0.9, 40)
+    t1, w = 0.05 * t2, np.full(t2.size, 0.02)
+    x2 = np.linspace(-1.0, 1.0, t2.size)
+    used = KernelTable(p, t1, t2, w)
+    work = np.empty((3, t2.size))
+    for rows in (slice(0, 40), slice(5, 12)):
+        h = used.residual(rows, x2[rows], p.z, work)
+        for x in (-0.5, 0.0, 0.7):
+            h(x)
+    fresh = KernelTable(p, t1, t2, w)
+    for name in ("q", "shift", "inv_v", "a", "b", "c"):
+        assert np.array_equal(getattr(used, name), getattr(fresh, name))
+    assert np.array_equal(used.evaluate(0.3, x2), fresh.evaluate(0.3, x2))
 
 
 def test_transformed_integrand_threshold_limits():

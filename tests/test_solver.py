@@ -20,12 +20,7 @@ from oubstop import (
     value,
 )
 from oubstop import solver
-from oubstop.solver import (
-    _fold_rows,
-    _node_residual,
-    _picard_sweep,
-    _riemann_rows,
-)
+from oubstop.solver import _picard_sweep, _riemann_rows
 
 import search_reference
 
@@ -33,10 +28,9 @@ import search_reference
 def _reference_sweep(params, rows, beta):
     """One Picard sweep as it was written before it reused work arrays:
     fresh arrays for x1, x2 and the kernel values at every call."""
-    head, j, w, table = rows
+    head, j, table = rows
     x1 = np.repeat(beta[:head.size], np.diff(head, append=j.size))
     k = drift_kernel(params, None, x1, None, beta[j], table=table)
-    k *= w
     new = np.full_like(beta, params.z)
     new[:head.size] -= np.add.reduceat(k, head)
     return new
@@ -176,7 +170,7 @@ def test_backward_bisection_meets_tolerance(alpha, gamma, z):
     # spikes were 5-23): no spikes. At z = 0, where each node's root is
     # unique, Picard is within its stopping error.
     p = OUBParams(alpha=alpha, gamma=gamma, z=z)
-    tol = 1e-12 * max(1.0, gamma)
+    tol = 1e-12 * gamma
     for n in (120, 200, 500):
         cfg = SolverConfig(n=n)
         t = cfg.build_grid().nodes
@@ -215,27 +209,24 @@ def test_backward_failure_carries_partial(monkeypatch):
 @pytest.mark.parametrize("gamma", (0.5, 1.0, 2.0))
 @pytest.mark.parametrize("z", (-5.0, 0.0, 5.0))
 def test_folded_row_is_the_kernel_row(alpha, gamma, z):
-    # with the Riemann weights folded into the table, h(x) - (x - z) is the
-    # row's weighted kernel sum, at the node's own beta and off it
+    # on the block's weighted table, h(x) - (x - z) is the row's weighted
+    # kernel sum built from the public kernel and the widths, at the node's
+    # own beta and off it
     p = OUBParams(alpha=alpha, gamma=gamma, z=z)
     t = SolverConfig(n=60).build_grid().nodes
     n = t.size - 1
+    dt = np.diff(t)
     beta = z + 0.84 * gamma * np.sqrt(1.0 - t)
     beta[-2:] = z
-    head, j, w, table = _riemann_rows(p, t, t[:-2])
+    head, j, table = _riemann_rows(p, t, t[:-2])
     ends = np.append(head[1:], j.size)
-    want = {}
-    for i in range(n - 1):
-        _, ji, wi, ti = _riemann_rows(p, t, t[i:i + 1])
-        for x in (beta[i], beta[i] - 0.3 * gamma, beta[i] + 0.3 * gamma):
-            k = drift_kernel(p, None, x, None, beta[ji], table=ti)
-            want[i, x] = float(np.dot(k, wi))
-    rows = _fold_rows(w, table)
     work = np.empty((3, n))
-    for (i, x), sum_wk in want.items():
-        row = slice(head[i], ends[i])
-        h = _node_residual([r[row] for r in rows], beta[i + 1:n], z, work)
-        assert abs(h(x) - (x - z) - sum_wk) <= 1e-14 * (1.0 + abs(z))
+    for i in range(n - 1):
+        h = table.residual(slice(head[i], ends[i]), beta[i + 1:n], z, work)
+        for x in (beta[i], beta[i] - 0.3 * gamma, beta[i] + 0.3 * gamma):
+            k = drift_kernel(p, t[i], x, t[i + 1:n], beta[i + 1:n])
+            sum_wk = float(np.dot(k, dt[i:n - 1]))
+            assert abs(h(x) - (x - z) - sum_wk) <= 1e-14 * (1.0 + abs(z))
 
 
 @pytest.mark.parametrize("alpha,gamma,z", list(itertools.product(
@@ -312,10 +303,10 @@ def test_backward_fallback_set_at_n500():
 @pytest.mark.parametrize("alpha,gamma,z", FALLBACKS_N500)
 def test_picard_fallback_contract(alpha, gamma, z):
     # the fallback's boundary solves every row of the discrete system,
-    # rebuilt from the public kernel, to eps, without spikes, in at most
-    # 100 sweeps (unmixed Picard from the constant z took 121-649). The
-    # returned boundary is the iterate whose sweep changed it by less than
-    # eps, so that change, final_residual, is its row residual.
+    # rebuilt from the public kernel, to eps*gamma, without spikes, in at
+    # most 100 sweeps (unmixed Picard from the constant z took 121-649).
+    # The returned boundary is the iterate whose sweep changed it by less
+    # than eps*gamma, so that change, final_residual, is its row residual.
     p = OUBParams(alpha=alpha, gamma=gamma, z=z)
     cfg = SolverConfig(n=500)
     sol = solve_boundary(p, cfg).canonical
@@ -324,7 +315,7 @@ def test_picard_fallback_contract(alpha, gamma, z):
     t, b = sol.grid.nodes, sol.beta
     residual = _row_residual(p, t, b)
     assert abs(residual - sol.final_residual) <= 1e-12
-    assert residual <= cfg.eps
+    assert residual <= cfg.eps * gamma
     assert np.all(np.abs(np.diff(b)) < 1.5 * gamma * np.sqrt(np.diff(t)))
     if (alpha, gamma, z) == (1.0, 0.5, -5.0):
         # unmixed Picard's V(0, z); both stop within about eps of the
@@ -580,11 +571,12 @@ def test_picard_block_size_changes_nothing(monkeypatch):
 
 
 def test_picard_memory_is_bounded_by_its_table():
-    # the blocks keep w, the six table coefficients and the int64 j of the
-    # N(N-1)/2 entries; nothing else as long as them may be held at once
+    # the blocks keep the six arrays of the weighted table and the int64 j
+    # of the N(N-1)/2 entries; nothing else as long as them may be held at
+    # once
     p = OUBParams(alpha=1.0, gamma=0.5, z=-5.0)
     cfg = SolverConfig(n=500)
-    kept = 8 * 8 * cfg.n * (cfg.n - 1) // 2
+    kept = 7 * 8 * cfg.n * (cfg.n - 1) // 2
     tracemalloc.start()
     try:
         picard_solve(p, cfg)
@@ -616,19 +608,23 @@ def test_operator_sweep_matches_row_by_row(alpha, gamma, z):
     assert np.max(np.abs(swept[:-2] - rows)) <= 1e-14 * (1.0 + abs(z))
 
     # value takes the solver's Riemann rows: unclamped on the boundary it
-    # is the row-by-row sweep, bit for bit
+    # is z less the sum of the block table's row, bit for bit, and the
+    # row-by-row sweep within the sweep's bound
     sol = BoundarySolution(grid=grid, beta=beta, iterations=0,
                            final_residual=0.0, method="given")
     priced = [value(p, sol, ValueSurfaceQuery(t=t[i], x=beta[i]), clamp=False)
               for i in range(n - 1)]
-    assert priced == rows
-
-    # the table path is the kernel itself, not an approximation of it
     i, j = np.triu_indices(n - 1)
     x1, x2 = beta[i], beta[j + 1]
+    tabled = drift_kernel(p, None, x1, None, x2, table=riemann[2])
+    ends = np.append(riemann[0], tabled.size)
+    assert priced == [z - float(tabled[a:b].sum())
+                      for a, b in zip(ends[:-1], ends[1:])]
+    assert np.max(np.abs(np.subtract(priced, rows))) <= 1e-14 * (1.0 + abs(z))
+
+    # the table path is the weighted kernel itself, not an approximation
     direct = drift_kernel(p, t[i], x1, t[j + 1], x2)
-    tabled = drift_kernel(p, None, x1, None, x2, table=riemann[3])
-    assert np.array_equal(direct, tabled)
+    assert np.max(np.abs(tabled - dt[j] * direct)) <= 1e-14 * (1.0 + abs(z))
 
 
 @pytest.mark.parametrize("n", [20, 500])
@@ -652,7 +648,7 @@ def _reference_mixing(p, cfg):
     asymptote, the differences kept as the rows of two arrays. A mixed
     iterate whose change is not smaller than the last empties both, and
     the next difference is taken between the two sweeps after it. Returns
-    the iterate whose sweep changed it by less than eps."""
+    the iterate whose sweep changed it by less than eps*gamma."""
     t = cfg.build_grid().nodes
     rows = _riemann_rows(p, t, t[:-2])
     x = np.maximum(p.z / np.cosh(p.alpha * (1.0 - t)),
@@ -664,7 +660,7 @@ def _reference_mixing(p, cfg):
         g = _reference_sweep(p, rows, x)
         f = g - x
         residual = float(np.max(np.abs(f)))
-        if residual < cfg.eps:
+        if residual < cfg.eps * p.gamma:
             return x, k, residual
         x = g
         if len(df) and residual >= base[2]:
@@ -681,7 +677,7 @@ def _reference_mixing(p, cfg):
 
 
 @pytest.mark.parametrize("alpha,gamma,z,sweeps", [
-    (1.0, 0.5, -5.0, 28), (1.0, 1.0, 0.0, 10)])
+    (1.0, 0.5, -5.0, 30), (1.0, 1.0, 0.0, 10)])
 def test_picard_solve_matches_reference_sweeps(alpha, gamma, z, sweeps):
     # picard_solve, with its row blocks, work arrays and lists of
     # differences, stops after as many sweeps and on the same boundary as
@@ -694,3 +690,39 @@ def test_picard_solve_matches_reference_sweeps(alpha, gamma, z, sweeps):
     assert sol.iterations == k == sweeps
     assert sol.final_residual == residual
     assert np.array_equal(sol.beta, beta)
+
+
+@pytest.mark.parametrize("gamma", (1e-2, 1e-4, 1e-8, 1e-12, 1e-100))
+def test_small_volatility_solves_the_unit_problem(gamma):
+    # every solver tolerance scales with gamma, so (1, gamma, zeta*gamma)
+    # is solved as (1, 1, zeta) scaled by gamma: by the same method, and
+    # with beta/gamma within 1e-9 (4.6e-11 seen). zeta = -5 is left out:
+    # its far-pin node equations agree only to about 1.5e-4 off powers of
+    # two (conditioning)
+    cfg = SolverConfig(n=500)
+    for zeta in (0.0, 5.0):
+        unit = solve_boundary(OUBParams(alpha=1.0, gamma=1.0, z=zeta),
+                              cfg).canonical
+        sol = solve_boundary(OUBParams(alpha=1.0, gamma=gamma,
+                                       z=zeta * gamma), cfg).canonical
+        assert sol.method == unit.method == "backward"
+        assert np.max(np.abs(sol.beta / gamma - unit.beta)) <= 1e-9
+
+
+@pytest.mark.parametrize("k", (1, 7, 30, 300))
+def test_power_of_two_volatility_scales_exactly(k):
+    # at gamma = 2^-k every tolerance and every kernel coefficient scales
+    # without rounding, so beta is gamma times the gamma = 1 boundary bit
+    # for bit, by backward induction and through the Picard fallback
+    # ((1, 0.5, -5) against (1, 1, -10) at k = 1)
+    gamma = 2.0 ** -k
+    for zeta, n in ((-5.0, 500), (0.0, 500), (5.0, 500), (-10.0, 120)):
+        cfg = SolverConfig(n=n)
+        unit = solve_boundary(OUBParams(alpha=1.0, gamma=1.0, z=zeta),
+                              cfg).canonical
+        sol = solve_boundary(OUBParams(alpha=1.0, gamma=gamma,
+                                       z=zeta * gamma), cfg).canonical
+        assert sol.method == unit.method
+        assert sol.iterations == unit.iterations
+        assert np.array_equal(sol.beta, gamma * unit.beta)
+        assert (unit.method == "picard") == (zeta == -10.0)
