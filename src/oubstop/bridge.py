@@ -166,17 +166,23 @@ def drift(params: OUBParams, t, x):
     return aa * (params.z - np.cosh(rem) * x) / np.sinh(rem)
 
 
+def _transition_times(caller: str, params: OUBParams, t1, t2):
+    """t1 and t2 of a canonical transition as float arrays, or ValueError."""
+    _require_canonical(params)
+    t1 = np.asarray(t1, dtype=float)
+    t2 = np.asarray(t2, dtype=float)
+    if not ((0.0 <= t1) & (t1 < 1.0) & (t1 <= t2) & (t2 <= 1.0)).all():
+        raise ValueError(f"{caller} requires 0 <= t1 <= t2 <= 1, t1 < 1")
+    return t1, t2
+
+
 def cond_mean(params: OUBParams, t1, x1, t2):
     """Conditional mean of X_{t2} given X_{t1} = x1 (canonical params).
 
     Equals x1 at t2 = t1 and z at t2 = 1 (the pinned endpoint).
     """
-    _require_canonical(params)
-    t1 = np.asarray(t1, dtype=float)
     x1 = np.asarray(x1, dtype=float)
-    t2 = np.asarray(t2, dtype=float)
-    if not ((0.0 <= t1) & (t1 < 1.0) & (t1 <= t2) & (t2 <= 1.0)).all():
-        raise ValueError("cond_mean requires 0 <= t1 <= t2 <= 1, t1 < 1")
+    t1, t2 = _transition_times("cond_mean", params, t1, t2)
     aa = abs(params.alpha)
     den = np.sinh(aa * (1.0 - t1))
     # each weight over den on its own: exactly 0 and 1 at t2 = 1, so z exactly
@@ -190,11 +196,7 @@ def cond_std(params: OUBParams, t1, t2):
     sqrt((gamma^2/alpha) * sinh(a(1-t2)) sinh(a(t2-t1)) / sinh(a(1-t1)));
     zero at t2 = t1 and at the pinned endpoint t2 = 1, and even in alpha.
     """
-    _require_canonical(params)
-    t1 = np.asarray(t1, dtype=float)
-    t2 = np.asarray(t2, dtype=float)
-    if not ((0.0 <= t1) & (t1 < 1.0) & (t1 <= t2) & (t2 <= 1.0)).all():
-        raise ValueError("cond_std requires 0 <= t1 <= t2 <= 1, t1 < 1")
+    t1, t2 = _transition_times("cond_std", params, t1, t2)
     aa = abs(params.alpha)
     var = (params.gamma ** 2 / aa) * np.sinh(aa * (1.0 - t2)) \
         * np.sinh(aa * (t2 - t1)) / np.sinh(aa * (1.0 - t1))

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bridge import OUBParams, reduce_to_canonical
+from .bridge import CanonicalReduction, OUBParams, reduce_to_canonical
 from .kernel import KernelQuery, drift_kernel
 from .mc import MCConfig, kernel_oracle, perturbation_test
 from .pricing import ValueSurfaceQuery, value
@@ -30,6 +30,7 @@ from .solver import (
     SolverConfig,
     TimeGrid,
     _SHEPP,
+    _drift_sign_gap,
     solve_boundary,
 )
 from .transform import make_context
@@ -41,8 +42,6 @@ from .solver import picard_solve  # noqa: F401
 from .transform import envelope, envelope_deriv, original_to_transformed  # noqa: F401
 
 __all__ = ["main", "build_parser"]
-
-_BB_SLOPE = _SHEPP  # Brownian-bridge boundary constant z + L*sqrt(1-t)
 
 _FIG1_ALPHAS = (0.01, -0.01, 1.0, -1.0, 5.0, -5.0)
 _FIG2_GAMMAS = (0.5, 1.0, 2.0)
@@ -136,6 +135,20 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
     return SolverConfig() if args.n is None else SolverConfig(n=args.n)
 
 
+def _warn_drift_sign(red: CanonicalReduction, sol: BoundarySolution) -> None:
+    """One stderr line if nodes of sol, the solution of red's canonical
+    problem, sit at or below the drift-sign bound, where verify's
+    drift_sign_bound row fails."""
+    below = int(np.count_nonzero(~(_drift_sign_gap(red.canonical, sol) > 0)))
+    if below:
+        p = red.original
+        print(f"warning: alpha={p.alpha:g} gamma={p.gamma:g} z={p.z:g} "
+              f"theta={p.theta:g} horizon={p.horizon:g} n={sol.grid.n}: "
+              f"{below} of {sol.grid.n - 1} nodes at or below the drift-sign "
+              "bound z/cosh(alpha(1-t)), which the true boundary stays above",
+              file=sys.stderr)
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     params = _params(args)
     try:
@@ -153,6 +166,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     print(f"method={sol.canonical.method} iterations="
           f"{sol.canonical.iterations} "
           f"residual={sol.canonical.final_residual:.6e}", file=sys.stderr)
+    _warn_drift_sign(sol.reduction, sol.canonical)
     return 0
 
 
@@ -188,6 +202,7 @@ def cmd_value(args: argparse.Namespace) -> int:
                for t, x in pts]
 
     sol = solve_boundary(params, cfg).canonical
+    _warn_drift_sign(red, sol)
     ts, xs = zip(*pts)
     vs = [red.from_canonical_space(value(red.canonical, sol, q))
           for q in queries]
@@ -237,11 +252,7 @@ def _verify_checks(params: OUBParams, sol: BoundarySolution, mc: MCConfig):
                 if entry.mean_diff != 0.0 else 0.0
         yield (name, stat, 3.0, stat <= 3.0)
 
-    # The drift is > 0 below z/cosh(alpha(1-t)), where waiting pays, so the
-    # true boundary stays above that bound at every t; gap is the margin of
-    # nodes 0..N-2 above it.
-    t = sol.grid.nodes[:-1]
-    gap = sol.beta[:-2] - z / np.cosh(params.alpha * (1.0 - t[:-1]))
+    gap = _drift_sign_gap(params, sol)
 
     # The transformed lower bound at t = 0, b(0) - c_z f(0)/f'(0), below
     # which the gain grows in time, is gap[0] / scale: upsilon(0) = 0,
@@ -249,10 +260,9 @@ def _verify_checks(params: OUBParams, sol: BoundarySolution, mc: MCConfig):
     margin = float(gap[0] / make_context(params).scale)
     yield ("boundary_lower_bound", margin, 0.0, margin > 0.0)
 
-    # A node below the bound is wrong: the mesh does not resolve a strong
-    # pull towards a far-away pin. Margins are in units of the node's step
-    # scale gamma*sqrt(t_{i+1} - t_i).
-    margin = float(np.min(gap / (gamma * np.sqrt(np.diff(t)))))
+    # Margins are in units of the node's step scale gamma*sqrt(t_{i+1} - t_i).
+    steps = np.diff(sol.grid.nodes[:-1])
+    margin = float(np.min(gap / (gamma * np.sqrt(steps))))
     yield ("drift_sign_bound", margin, 0.0, margin > 0.0)
 
 
@@ -315,6 +325,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
         key = (red.canonical, solver)
         if key not in solved:
             solved[key] = solve_boundary(red.canonical, solver).canonical
+            _warn_drift_sign(red, solved[key])
         return SolvedBoundary(reduction=red, canonical=solved[key])
 
     def ztag(z: float) -> str:
@@ -324,7 +335,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
         curves = [solve_beta(a, 1.0, z, base.n)
                   for a in _FIG1_ALPHAS]
         t = curves[0].nodes
-        bb = z + _BB_SLOPE * np.sqrt(1.0 - t)
+        bb = z + _SHEPP * np.sqrt(1.0 - t)
         _write_columns(
             ["t"] + [f"alpha_{a:g}" for a in _FIG1_ALPHAS] + ["bb_ref"],
             [t] + [c.values for c in curves] + [bb],

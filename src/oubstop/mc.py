@@ -49,7 +49,7 @@ import numpy as np
 
 from .bridge import OUBParams, _require_canonical, cond_mean, cond_std, drift
 from .kernel import KernelQuery, density
-from .solver import BoundarySolution, boundary_eval
+from .solver import BoundarySolution, _require_integers, boundary_eval
 
 __all__ = [
     "MCConfig",
@@ -80,11 +80,7 @@ class MCConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        for name, low in (("paths", 1), ("seed", 0), ("workers", 1)):
-            value = getattr(self, name)
-            if (not isinstance(value, (int, np.integer))
-                    or isinstance(value, bool) or value < low):
-                raise ValueError(f"{name} must be an integer >= {low}")
+        _require_integers(self, paths=1, seed=0, workers=1)
 
 
 @dataclass(frozen=True)

@@ -83,6 +83,15 @@ class TimeGrid:
         return self.nodes.size - 1
 
 
+def _require_integers(config, **lows) -> None:
+    """ValueError unless each field named in lows is an int >= its low."""
+    for name, low in lows.items():
+        value = getattr(config, name)
+        if (not isinstance(value, (int, np.integer))
+                or isinstance(value, bool) or value < low):
+            raise ValueError(f"{name} must be an integer >= {low}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Solver knobs; defaults follow the reference setup (N = 500,
@@ -95,11 +104,7 @@ class SolverConfig:
     max_iter: int = 2000
 
     def __post_init__(self) -> None:
-        for name, low in (("n", 2), ("max_iter", 1)):
-            value = getattr(self, name)
-            if (not isinstance(value, (int, np.integer))
-                    or isinstance(value, bool) or value < low):
-                raise ValueError(f"{name} must be an integer >= {low}")
+        _require_integers(self, n=2, max_iter=1)
         if not (0.0 < self.eps < math.inf):
             raise ValueError("eps must be finite and > 0")
 
@@ -135,6 +140,17 @@ class BoundarySolution:
             raise ValueError("beta must align with the grid nodes")
         beta.flags.writeable = False
         object.__setattr__(self, "beta", beta)
+
+
+def _drift_sign_bound(params: OUBParams, t):
+    """z/cosh(alpha(1 - t)): the drift is > 0 below it, so waiting pays."""
+    return params.z / np.cosh(params.alpha * (1.0 - t))
+
+
+def _drift_sign_gap(params: OUBParams, sol: BoundarySolution) -> np.ndarray:
+    """beta_i - _drift_sign_bound(t_i) over the solved nodes 0..N-2; a node
+    at or below 0 is wrong: the mesh does not resolve a strong pull."""
+    return sol.beta[:-2] - _drift_sign_bound(params, sol.grid.nodes[:-2])
 
 
 def boundary_eval(sol: BoundarySolution, t):
@@ -242,7 +258,7 @@ def picard_solve(params: OUBParams, cfg: SolverConfig = SolverConfig()) -> Bound
     t, z, eps = grid.nodes, params.z, cfg.eps * params.gamma
     blocks = list(_row_blocks(params, t))
     work = np.empty((2, max(rows[1].size for _, rows in blocks)))
-    x = np.maximum(z / np.cosh(params.alpha * (1.0 - t)),
+    x = np.maximum(_drift_sign_bound(params, t),
                    z + _SHEPP * params.gamma * np.sqrt(1.0 - t))
     x[-2:] = z
     dg, df = [], []  # differences of sweep outputs and of sweep changes

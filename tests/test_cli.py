@@ -311,9 +311,14 @@ def test_verify_flags_degenerate_regime(tmp_path):
     assert "boundary_lower_bound" in failing
 
 
-def test_figures_datasets(tmp_path):
+def test_figures_datasets(tmp_path, capsys):
     outdir = tmp_path / "figs"
     assert run_cli("figures", "--n", "60", "--out", str(outdir)) == 0
+    # one warning per solved problem that crosses the drift-sign bound
+    warned = [line.split(":")[1] for line in capsys.readouterr().err
+              .splitlines() if line.startswith("warning:")]
+    assert warned == [" alpha=5 gamma=1 z=-5 theta=0 horizon=1 n=60",
+                      " alpha=1 gamma=0.5 z=-5 theta=0 horizon=1 n=60"]
     names = sorted(p.name for p in outdir.iterdir())
     assert names == ["fig1_z0.csv", "fig1_zm5.csv", "fig1_zp5.csv",
                      "fig2_z0.csv", "fig2_zm5.csv", "fig2_zp5.csv",
@@ -502,11 +507,44 @@ def test_value_just_below_horizon(capsys):
 
 def test_solve_far_pin_strong_pull(capsys):
     # Picard takes 254 sweeps here; the node-by-node solve reaches its
-    # tolerance at every node
+    # tolerance at every node, yet N=500 does not resolve the pull: 455
+    # nodes sit at or below the drift-sign bound, and V(0, z) is 0.73 off
     assert run_cli("solve", "--alpha", "5", "--gamma", "0.5", "--z", "-5",
                    "--n", "500") == 0
     err = capsys.readouterr().err
     assert float(err.split("residual=")[1].split()[0]) <= 1e-9
+    assert "warning: alpha=5 gamma=0.5 z=-5 theta=0 horizon=1 n=500: 455 " \
+        "of 499 nodes at or below the drift-sign bound" in err
+
+
+@pytest.mark.parametrize("alpha,gamma,z,below", [
+    (5.0, 1.0, -5.0, 240), (3.0, 0.25, -2.0, 314), (2.0, 0.5, -5.0, 242),
+    (1.0, 1.0, 0.0, 0), (5.0, 1.0, 0.0, 0), (1.0, 0.5, -5.0, 0)])
+def test_solve_warns_on_drift_sign_crossing(alpha, gamma, z, below,
+                                            tmp_path, capsys):
+    # one stderr line where verify's drift_sign_bound row fails, naming the
+    # problem and the nodes at or below the bound; (1, 0.5, -5) is a Picard
+    # fallback that stays above it. stdout is the CSV that --out writes.
+    problem = ("--alpha", str(alpha), "--gamma", str(gamma), "--z", str(z))
+    out = tmp_path / "b.csv"
+    assert run_cli("solve", *problem, "--out", str(out)) == 0
+    capsys.readouterr()
+    assert run_cli("solve", *problem) == 0
+    captured = capsys.readouterr()
+    assert captured.out == out.read_text()
+    warned = [line for line in captured.err.splitlines()
+              if line.startswith("warning:")]
+    if below:
+        assert warned == [
+            f"warning: alpha={alpha:g} gamma={gamma:g} z={z:g} theta=0 "
+            f"horizon=1 n=500: {below} of 499 nodes at or below the "
+            "drift-sign bound z/cosh(alpha(1-t)), which the true boundary "
+            "stays above"]
+    else:
+        assert warned == []
+    assert run_cli("value", *problem, "--t", "0", "--x", str(z)) == 0
+    assert [line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("warning:")] == warned
 
 
 def test_eps_flag_is_gone():

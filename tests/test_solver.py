@@ -275,6 +275,19 @@ def test_solve_boundary_falls_back_to_picard():
     assert np.array_equal(sol.beta, picard_solve(p, cfg).beta)
 
 
+@pytest.mark.parametrize("alpha,gamma,z,below", [(5.0, 1.0, -5.0, 240),
+                                                  (1.0, 1.0, 0.0, 0)])
+def test_drift_sign_gap_is_the_direct_expression(alpha, gamma, z, below):
+    # the margin of nodes 0..N-2 above z/cosh(alpha(1 - t)) that verify's
+    # rows and the CLI warning read; at (5, 1, -5) N=500 crosses the bound
+    p = OUBParams(alpha=alpha, gamma=gamma, z=z)
+    sol = backward_solve(p, SolverConfig(n=500))
+    t = sol.grid.nodes[:-2]
+    gap = solver._drift_sign_gap(p, sol)
+    assert np.array_equal(gap, sol.beta[:-2] - z / np.cosh(alpha * (1 - t)))
+    assert np.count_nonzero(gap <= 0.0) == below
+
+
 # The grid problems (alpha, gamma, z) of alpha in {0.01, 0.5, 1, 2, 3, 5},
 # gamma in {0.25, 0.5, 1, 2}, z in {-10, -5, -2, 0, 2, 5, 10} where, at
 # N = 500, backward induction finds no root and solve_boundary falls back.
