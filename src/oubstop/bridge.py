@@ -9,7 +9,8 @@ The bridge solves
 in canonical coordinates (pulling level 0, horizon 1). The conditional law
 between two times is Gaussian and available in closed form, so paths can be
 sampled exactly; no Euler stepping is used anywhere. The drift blows up as
-t -> 1, which is why exact transitions matter near the horizon.
+t -> 1, which is why exact transitions matter near the horizon. The law's
+sinh factors are computed here only (_sinh_factors), for mc and kernel too.
 
 General pulling level theta and horizon T are handled by an affine
 reduction to the canonical problem (shift space by theta, rescale time by
@@ -166,14 +167,21 @@ def drift(params: OUBParams, t, x):
     return aa * (params.z - np.cosh(rem) * x) / np.sinh(rem)
 
 
-def _transition_times(caller: str, params: OUBParams, t1, t2):
-    """t1 and t2 of a canonical transition as float arrays, or ValueError."""
+def _sinh_factors(params: OUBParams, rem1, gap, rem2):
+    """sinh(|alpha| r) of the spans rem1 = 1 - t1, gap = t2 - t1 and rem2 =
+    1 - t2 of a canonical transition, unchecked: the one copy of these."""
+    aa = abs(params.alpha)
+    return np.sinh(aa * rem1), np.sinh(aa * gap), np.sinh(aa * rem2)
+
+
+def _transition_factors(caller: str, params: OUBParams, t1, t2):
+    """_sinh_factors of canonical times 0 <= t1 <= t2 <= 1, or ValueError."""
     _require_canonical(params)
     t1 = np.asarray(t1, dtype=float)
     t2 = np.asarray(t2, dtype=float)
     if not ((0.0 <= t1) & (t1 < 1.0) & (t1 <= t2) & (t2 <= 1.0)).all():
         raise ValueError(f"{caller} requires 0 <= t1 <= t2 <= 1, t1 < 1")
-    return t1, t2
+    return _sinh_factors(params, 1.0 - t1, t2 - t1, 1.0 - t2)
 
 
 def cond_mean(params: OUBParams, t1, x1, t2):
@@ -182,12 +190,9 @@ def cond_mean(params: OUBParams, t1, x1, t2):
     Equals x1 at t2 = t1 and z at t2 = 1 (the pinned endpoint).
     """
     x1 = np.asarray(x1, dtype=float)
-    t1, t2 = _transition_times("cond_mean", params, t1, t2)
-    aa = abs(params.alpha)
-    den = np.sinh(aa * (1.0 - t1))
+    den, s_gap, s_rem = _transition_factors("cond_mean", params, t1, t2)
     # each weight over den on its own: exactly 0 and 1 at t2 = 1, so z exactly
-    return (x1 * (np.sinh(aa * (1.0 - t2)) / den)
-            + params.z * (np.sinh(aa * (t2 - t1)) / den))
+    return x1 * (s_rem / den) + params.z * (s_gap / den)
 
 
 def cond_std(params: OUBParams, t1, t2):
@@ -196,8 +201,5 @@ def cond_std(params: OUBParams, t1, t2):
     sqrt((gamma^2/alpha) * sinh(a(1-t2)) sinh(a(t2-t1)) / sinh(a(1-t1)));
     zero at t2 = t1 and at the pinned endpoint t2 = 1, and even in alpha.
     """
-    t1, t2 = _transition_times("cond_std", params, t1, t2)
-    aa = abs(params.alpha)
-    var = (params.gamma ** 2 / aa) * np.sinh(aa * (1.0 - t2)) \
-        * np.sinh(aa * (t2 - t1)) / np.sinh(aa * (1.0 - t1))
-    return np.sqrt(var)
+    den, s_gap, s_rem = _transition_factors("cond_std", params, t1, t2)
+    return np.sqrt(params.gamma ** 2 / abs(params.alpha) * s_rem * s_gap / den)

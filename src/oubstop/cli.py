@@ -14,12 +14,13 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .bridge import CanonicalReduction, OUBParams, reduce_to_canonical
+from .bridge import OUBParams, reduce_to_canonical
 from .kernel import KernelQuery, drift_kernel
 from .mc import MCConfig, kernel_oracle, perturbation_test
 from .pricing import ValueSurfaceQuery, value
@@ -47,6 +48,9 @@ _FIG1_ALPHAS = (0.01, -0.01, 1.0, -1.0, 5.0, -5.0)
 _FIG2_GAMMAS = (0.5, 1.0, 2.0)
 _FIG3_SIZES = (10, 100, 500)
 _FIG_PINS = (0.0, -5.0, 5.0)
+# A negative number as argparse should read it: its own pattern (Python
+# 3.10-3.13) has no exponent, so "--z -1e-3" took -1e-3 for an option.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
 def _fmt(x: float) -> str:
@@ -121,6 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="verify a boundary CSV instead of solving")
     sub.add_parser("figures", parents=[common],
                    help="emit the figure datasets into --out directory")
+    for p in sub.choices.values():
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 
@@ -135,16 +141,16 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
     return SolverConfig() if args.n is None else SolverConfig(n=args.n)
 
 
-def _warn_drift_sign(red: CanonicalReduction, sol: BoundarySolution) -> None:
-    """One stderr line if nodes of sol, the solution of red's canonical
-    problem, sit at or below the drift-sign bound, where verify's
-    drift_sign_bound row fails."""
-    below = int(np.count_nonzero(~(_drift_sign_gap(red.canonical, sol) > 0)))
+def _warn_drift_sign(sol: SolvedBoundary) -> None:
+    """One stderr line if nodes of sol sit at or below the drift-sign bound,
+    where verify's drift_sign_bound row fails."""
+    gap = _drift_sign_gap(sol.reduction.canonical, sol.canonical)
+    below = int(np.count_nonzero(~(gap > 0)))
     if below:
-        p = red.original
+        p, n = sol.reduction.original, sol.canonical.grid.n
         print(f"warning: alpha={p.alpha:g} gamma={p.gamma:g} z={p.z:g} "
-              f"theta={p.theta:g} horizon={p.horizon:g} n={sol.grid.n}: "
-              f"{below} of {sol.grid.n - 1} nodes at or below the drift-sign "
+              f"theta={p.theta:g} horizon={p.horizon:g} n={n}: "
+              f"{below} of {n - 1} nodes at or below the drift-sign "
               "bound z/cosh(alpha(1-t)), which the true boundary stays above",
               file=sys.stderr)
 
@@ -166,7 +172,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     print(f"method={sol.canonical.method} iterations="
           f"{sol.canonical.iterations} "
           f"residual={sol.canonical.final_residual:.6e}", file=sys.stderr)
-    _warn_drift_sign(sol.reduction, sol.canonical)
+    _warn_drift_sign(sol)
     return 0
 
 
@@ -196,13 +202,12 @@ def cmd_value(args: argparse.Namespace) -> int:
         raise ValueError("value needs either --t and --x or --grid")
     if not all(0.0 <= t < params.horizon for t, _ in pts):
         raise ValueError(f"value needs t in [0, {params.horizon!r})")
-    red = reduce_to_canonical(params)
+    solved = solve_boundary(params, cfg)
+    red, sol = solved.reduction, solved.canonical
     queries = [ValueSurfaceQuery(t=float(red.to_canonical_time(t)),
                                  x=float(red.to_canonical_space(x)))
                for t, x in pts]
-
-    sol = solve_boundary(params, cfg).canonical
-    _warn_drift_sign(red, sol)
+    _warn_drift_sign(solved)
     ts, xs = zip(*pts)
     vs = [red.from_canonical_space(value(red.canonical, sol, q))
           for q in queries]
@@ -325,7 +330,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
         key = (red.canonical, solver)
         if key not in solved:
             solved[key] = solve_boundary(red.canonical, solver).canonical
-            _warn_drift_sign(red, solved[key])
+            _warn_drift_sign(SolvedBoundary(red, solved[key]))
         return SolvedBoundary(reduction=red, canonical=solved[key])
 
     def ztag(z: float) -> str:

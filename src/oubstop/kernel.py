@@ -11,7 +11,8 @@ for t1 < t2 < 1 only: it is undefined at t2 = 1, and no Riemann row of the
 pricing equations has t2 = t1, so there is no continuity extension there.
 
 KernelTable, K over fixed time pairs with quadrature weights folded in, is
-the one form of K that the solvers and pricing evaluate.
+the one form of K that the solvers and pricing evaluate. It takes time gaps
+and checks nothing; drift_kernel, the public entry, checks the times.
 """
 from __future__ import annotations
 
@@ -21,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .bridge import OUBParams, _require_canonical
-# Not called here since KernelTable computes the moments itself; the traced
-# benchmark runs still wrap these two names in this module
+from .bridge import OUBParams, _require_canonical, _sinh_factors
+# Not called here since KernelTable builds the moments from the sinh factors
+# itself; the traced benchmark runs still wrap these two names in this module
 # (perfbench/workloads.py CALL_SITES), so they stay importable from it.
 from .bridge import cond_mean, cond_std  # noqa: F401
 
@@ -63,7 +64,9 @@ class KernelQuery:
 
 class KernelTable:
     """The beta-independent part of w*K over fixed time pairs
-    0 <= t1 < t2 < 1, w a weight per pair (a Riemann width, or 1).
+    0 <= t1 < t2 < 1, w a weight per pair (a Riemann width, or 1). A pair
+    is given, unchecked, by its gaps rem1 = 1 - t1, gap = t2 - t1 and rem2 =
+    1 - t2, which keep their digits near the horizon where 1 - t2 would not.
 
     With m = slope*x1 + shift and v the conditional mean and std of X_t2,
     rem = |alpha|(1 - t2), cz = |alpha| z / (2 sinh(rem)), cm = |alpha|
@@ -74,30 +77,23 @@ class KernelTable:
         w*K = (a - b*x1) * erfc(p - q*x1) - c * exp(-(p - q*x1)^2),
 
     q = slope inv_v, a = w cz - (w cm) shift, b = (w cm) slope, c = w cv.
-    A solver that sweeps x1 and x2 many times builds it once; t1, t2 and w
-    are not kept. The arrays are at least one-dimensional, of one shape.
+    A solver that sweeps x1 and x2 many times builds it once; the gaps and
+    w are not kept. The arrays are at least one-dimensional, of one shape.
     """
 
     __slots__ = ("params", "q", "shift", "inv_v", "a", "b", "c")
 
-    def __init__(self, params: OUBParams, t1, t2, w=1.0):
-        _require_canonical(params)
-        t1, t2 = np.broadcast_arrays(*np.atleast_1d(
-            np.asarray(t1, dtype=float), np.asarray(t2, dtype=float)))
-        if not ((t1 >= 0.0) & (t1 < t2) & (t2 < 1.0)).all():
-            raise ValueError("kernel table requires 0 <= t1 < t2 < 1")
+    def __init__(self, params: OUBParams, rem1, gap, rem2, w=1.0):
+        rem1, gap, rem2 = np.broadcast_arrays(*np.atleast_1d(rem1, gap, rem2))
         aa = abs(params.alpha)
         self.params = params
         # in place, with each formula's operations in order (bits depend on it)
-        sinh_rem = aa * (1.0 - t2)  # rem, until sinh overwrites it
-        b = self.b = np.cosh(sinh_rem)  # cm, until w and slope fold in
-        np.sinh(sinh_rem, out=sinh_rem)
-        sinh_gap = np.sinh(aa * (t2 - t1))
-        v = np.sinh(aa * (1.0 - t1))  # sinh_start, until v overwrites it
+        sinh_start, sinh_gap, sinh_rem = _sinh_factors(params, rem1, gap, rem2)
+        b = self.b = np.cosh(aa * rem2)  # cm, until w and slope fold in
         # the conditional moments of bridge.cond_mean and bridge.cond_std
-        q = self.q = sinh_rem / v  # slope, until inv_v folds into it
-        self.shift = params.z * sinh_gap / v
-        np.multiply(params.gamma ** 2 / aa, q, out=v)
+        q = self.q = sinh_rem / sinh_start  # slope, until inv_v folds into it
+        self.shift = params.z * sinh_gap / sinh_start
+        v = np.multiply(params.gamma ** 2 / aa, q, out=sinh_start)
         v *= sinh_gap
         self.inv_v = _INV_SQRT2 / np.sqrt(v, out=v)
         b *= 0.5 * aa
@@ -166,9 +162,10 @@ def drift_kernel(params: OUBParams, t1, x1, t2, x2, table=None, _work=None):
     """Evaluate K(t1, x1, t2, x2) for canonical params; broadcasts over
     array arguments.
 
-    Raises unless 0 <= t1 < t2 < 1. With a KernelTable built for params,
-    pass t1 = t2 = None: the times are the table's, and the result is the
-    array table.evaluate(x1, x2, _work), w*K for the table's weights w.
+    Raises unless params are canonical and 0 <= t1 < t2 < 1: KernelTable,
+    which takes the gaps, checks neither. With a KernelTable built for
+    params, pass t1 = t2 = None: the times are the table's, and the result
+    is the array table.evaluate(x1, x2, _work), w*K for the table's weights.
     """
     if table is not None:
         if (t1 is not None or t2 is not None
@@ -176,6 +173,11 @@ def drift_kernel(params: OUBParams, t1, x1, t2, x2, table=None, _work=None):
             raise ValueError("with a table, pass t1 = t2 = None and the "
                              "params it was built for")
         return table.evaluate(x1, x2, _work)
+    _require_canonical(params)
+    t1, t2 = np.asarray(t1, dtype=float), np.asarray(t2, dtype=float)
+    if not ((t1 >= 0.0) & (t1 < t2) & (t2 < 1.0)).all():
+        raise ValueError("drift_kernel requires 0 <= t1 < t2 < 1")
     shape = np.broadcast(t1, x1, t2, x2).shape
-    return KernelTable(params, t1, t2).evaluate(x1, x2).reshape(shape)[()]
+    table = KernelTable(params, 1.0 - t1, t2 - t1, 1.0 - t2)
+    return table.evaluate(x1, x2).reshape(shape)[()]
 

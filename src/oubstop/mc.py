@@ -47,7 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bridge import OUBParams, _require_canonical, cond_mean, cond_std, drift
+from .bridge import (OUBParams, _require_canonical, _sinh_factors, cond_mean,
+                     cond_std, drift)
 from .kernel import KernelQuery, density
 from .solver import BoundarySolution, _require_integers, boundary_eval
 
@@ -152,12 +153,11 @@ def _monitor_nodes(sol: BoundarySolution, t0: float):
 
 
 def _step_coefficients(params: OUBParams, nodes: np.ndarray):
-    t1 = nodes[:-1]
-    t2 = nodes[1:]
-    shift = cond_mean(params, t1, np.zeros_like(t1), t2)
-    slope = cond_mean(params, t1, np.ones_like(t1), t2) - shift
-    sd = cond_std(params, t1, t2)
-    return slope, shift, sd
+    """Step k's exact transition: cond_mean slope[k]*x + shift[k], sd[k]."""
+    den, s_gap, s_rem = _sinh_factors(params, 1.0 - nodes[:-1],
+                                      np.diff(nodes), 1.0 - nodes[1:])
+    var = params.gamma ** 2 / abs(params.alpha) * s_rem * s_gap / den
+    return s_rem / den, params.z * (s_gap / den), np.sqrt(var)
 
 
 def _advance(x: np.ndarray, k: int, slope, shift, sd,

@@ -168,11 +168,12 @@ def _riemann_rows(params: OUBParams, nodes: np.ndarray, starts):
     flat array j and the KernelTable of the time pairs (s, t_j) and w.
 
     Row r sums w * K(s, ., t_j, .) over the right endpoints t_j in
-    (s, t_{N-1}], where w is the width from t_j back to the previous
-    endpoint, or back to s itself for the first one; its entries are
-    head[r]..head[r+1]-1 (the last row's run to the end). The addend ending
-    at t_N = 1 is dropped: the kernel is undefined there. A start at or
-    past t_{N-1} has an empty row, so np.add.reduceat, which returns the
+    (s, t_{N-1}], where w, the smaller of t_j - t_{j-1} and t_j - s, is the
+    width back to the previous endpoint or to s; its entries are
+    head[r]..head[r+1]-1 (the last row's run to the end). The table takes
+    the gaps 1 - s, t_j - s and 1 - t_j from the mesh, unchecked. The addend
+    ending at t_N = 1 is dropped: the kernel is undefined there. A start at
+    or past t_{N-1} has an empty row, so np.add.reduceat, which returns the
     entry at the offset for an empty run, needs starts before t_{N-1}.
     The solvers take their quadrature and kernel table from here in the
     blocks of _row_blocks, pricing.value once per point.
@@ -183,10 +184,12 @@ def _riemann_rows(params: OUBParams, nodes: np.ndarray, starts):
     head = np.cumsum(counts) - counts
     j = np.arange(counts.sum())
     j += np.repeat(first - head, counts)
-    w = np.diff(nodes)[j - 1]
-    live = counts > 0
-    w[head[live]] = nodes[first[live]] - starts[live]
-    table = KernelTable(params, np.repeat(starts, counts), nodes[j], w)
+    rem1, rem2 = np.repeat(starts, counts), nodes[j]  # s, t_j; then 1 - both
+    gap = rem2 - rem1
+    w = np.minimum(np.diff(nodes)[j - 1], gap)
+    np.subtract(1.0, rem1, out=rem1)
+    np.subtract(1.0, rem2, out=rem2)
+    table = KernelTable(params, rem1, gap, rem2, w)
     return head, j, table
 
 

@@ -547,6 +547,21 @@ def test_solve_warns_on_drift_sign_crossing(alpha, gamma, z, below,
             if line.startswith("warning:")] == warned
 
 
+@pytest.mark.parametrize("argv,flag,number", [
+    (("solve", "--n", "20"), "--z", "-1e-3"),
+    (("value", "--n", "20", "--t", "0"), "--x", "-2.5e-1"),
+    (("solve", "--n", "20"), "--alpha", "-1E+0"),
+])
+def test_negative_number_in_exponent_notation(argv, flag, number, capsys):
+    # argparse's own negative-number pattern has no exponent, so it took
+    # -1e-3 for an option and exited 2; read apart or after "=", the
+    # number now gives the same output
+    assert run_cli(*argv, f"{flag}={number}") == 0
+    want = capsys.readouterr()
+    assert run_cli(*argv, flag, number) == 0
+    assert capsys.readouterr() == want
+
+
 def test_eps_flag_is_gone():
     # Picard's tolerance, which the fallback keeps at its default: iterated
     # on past it at far pins, Picard drifts to a fixed point with spikes

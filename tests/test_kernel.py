@@ -1,9 +1,11 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import roots_legendre
 
 from oubstop import (
     KernelQuery,
@@ -105,6 +107,14 @@ def test_kernel_rejects_terminal_time(std_params):
     # no continuity extension at t2 == t1: the equations never need it
     with pytest.raises(ValueError):
         drift_kernel(std_params, 0.3, 1.0, 0.3, 0.5)
+    # drift_kernel is where times and params are checked (KernelTable,
+    # built from gaps, checks neither): one bad pair in an array, or
+    # general coordinates, raise
+    with pytest.raises(ValueError, match="0 <= t1 < t2 < 1"):
+        drift_kernel(std_params, np.array([0.1, 0.6]), 0.0, 0.5, 0.0)
+    with pytest.raises(ValueError, match="canonical"):
+        drift_kernel(OUBParams(alpha=1.0, gamma=1.0, z=0.0, horizon=2.0),
+                     0.1, 0.0, 0.5, 0.0)
 
 
 def test_kernel_monotone_tail_decay(std_params):
@@ -132,16 +142,17 @@ def test_kernel_broadcasts(std_params):
     assert wide[1, 2] == drift_kernel(p, 0.2, 0.0, 0.7, float(x2[2]))
 
 
-def _reference_table(params, t1, t2, w=1.0):
+def _reference_table(params, rem1, gap, rem2, w=1.0):
     """KernelTable's arrays as written before it computed them in place:
     one fresh array per operation, and the weights folded in last."""
-    t1, t2 = np.atleast_1d(np.asarray(t1, dtype=float),
-                           np.asarray(t2, dtype=float))
+    rem1, gap, rem2 = np.atleast_1d(np.asarray(rem1, dtype=float),
+                                    np.asarray(gap, dtype=float),
+                                    np.asarray(rem2, dtype=float))
     aa = abs(params.alpha)
-    rem = aa * (1.0 - t2)
+    rem = aa * rem2
     sinh_rem = np.sinh(rem)
-    sinh_gap = np.sinh(aa * (t2 - t1))
-    sinh_start = np.sinh(aa * (1.0 - t1))
+    sinh_gap = np.sinh(aa * gap)
+    sinh_start = np.sinh(aa * rem1)
     slope = sinh_rem / sinh_start
     shift = params.z * sinh_gap / sinh_start
     v = np.sqrt(params.gamma ** 2 / aa * slope * sinh_gap)
@@ -152,6 +163,14 @@ def _reference_table(params, t1, t2, w=1.0):
     wcm = w * cm
     return dict(q=slope * inv_v, shift=shift, inv_v=inv_v,
                 a=w * cz - wcm * shift, b=wcm * slope, c=w * cv)
+
+
+def _assert_table_is_reference(p, rem1, gap, rem2, w):
+    table = KernelTable(p, rem1, gap, rem2, w)
+    for name, want in _reference_table(p, rem1, gap, rem2, w).items():
+        got = getattr(table, name)
+        assert np.array_equal(got, np.broadcast_to(want, got.shape))
+    return table
 
 
 def test_kernel_table_matches_reference_formula():
@@ -171,10 +190,35 @@ def test_kernel_table_matches_reference_formula():
         p = OUBParams(alpha=alpha, gamma=gamma, z=z)
         for s1, s2, sw in ((t1, t2, 1.0), (t1, t2, w), (0.0, t2[:-4], 1.0),
                            (t1[:3], 0.999, w[:3])):
-            table = KernelTable(p, s1, s2, sw)
-            for name, want in _reference_table(p, s1, s2, sw).items():
-                got = getattr(table, name)
-                assert np.array_equal(got, np.broadcast_to(want, got.shape))
+            s1, s2 = np.asarray(s1), np.asarray(s2)
+            _assert_table_is_reference(p, 1.0 - s1, s2 - s1, 1.0 - s2, sw)
+
+
+def test_kernel_table_builds_at_collocation_gaps():
+    # the pairs (t_k, u) of a collocation rule in xi = sqrt(1 - t): t_k =
+    # 1 - xi_k^2 at Chebyshev xi_k, and u = 1 - (1 - t_k)(1 - sigma^2)^2 at
+    # l = 16n Gauss-Legendre sigma on [0, 1], given as gaps. 1 - u is far
+    # below the spacing of floats at 1 there, so a table built from the
+    # times u would see u = 1; from the gaps every array is finite
+    n = 128
+    xi = (1.0 - np.cos(np.pi * np.arange(1, n + 1) / n)) / 2.0
+    rem1 = (1.0 - (1.0 - xi * xi))[:, None]
+    x, wx = roots_legendre(16 * n)
+    sigma, w_sigma = (x + 1.0) / 2.0, wx / 2.0
+    rem2 = rem1 * (1.0 - sigma * sigma) ** 2
+    gap = rem1 - rem2
+    assert np.any(1.0 - rem2 == 1.0)
+    w = 4.0 * rem1 * (1.0 - sigma * sigma) * sigma * w_sigma
+    for alpha, gamma, z in ((1e-4, 1.0, 0.0), (1.0, 1.0, 0.0),
+                            (5.0, 0.25, -10.0), (200.0, 1.0, -5.0)):
+        p = OUBParams(alpha=alpha, gamma=gamma, z=z)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = _assert_table_is_reference(p, rem1, gap, rem2, w)
+        for name in ("q", "shift", "inv_v", "a", "b", "c"):
+            got = getattr(table, name)
+            assert got.shape == (n, 16 * n)
+            assert np.isfinite(got).all()
 
 
 def test_kernel_table_residual_leaves_the_table_unchanged():
@@ -184,13 +228,13 @@ def test_kernel_table_residual_leaves_the_table_unchanged():
     t2 = np.linspace(0.1, 0.9, 40)
     t1, w = 0.05 * t2, np.full(t2.size, 0.02)
     x2 = np.linspace(-1.0, 1.0, t2.size)
-    used = KernelTable(p, t1, t2, w)
+    used = KernelTable(p, 1.0 - t1, t2 - t1, 1.0 - t2, w)
     work = np.empty((3, t2.size))
     for rows in (slice(0, 40), slice(5, 12)):
         h = used.residual(rows, x2[rows], p.z, work)
         for x in (-0.5, 0.0, 0.7):
             h(x)
-    fresh = KernelTable(p, t1, t2, w)
+    fresh = KernelTable(p, 1.0 - t1, t2 - t1, 1.0 - t2, w)
     for name in ("q", "shift", "inv_v", "a", "b", "c"):
         assert np.array_equal(getattr(used, name), getattr(fresh, name))
     assert np.array_equal(used.evaluate(0.3, x2), fresh.evaluate(0.3, x2))

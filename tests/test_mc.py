@@ -449,6 +449,24 @@ def test_kernel_oracle_vs_closed_form_alpha_signs():
                 drift_kernel(p, t1, x1, t2, x2), abs=1e-8)
 
 
+def test_step_coefficients_are_the_exact_transition():
+    # shift and sd are cond_mean at x = 0 and cond_std bit for bit, the
+    # last step lands on z exactly, and the slope is the sinh ratio itself,
+    # not cond_mean(x = 1) - cond_mean(x = 0), which is 1 ulp off on 9 of
+    # the 500 steps from t = 0
+    from oubstop.mc import _step_coefficients
+    params = OUBParams(alpha=5.0, gamma=1.0, z=-5.0)
+    grid = SolverConfig(n=500).build_grid().nodes
+    for nodes in (grid, np.concatenate(([0.37], grid[grid > 0.37]))):
+        t1, t2 = nodes[:-1], nodes[1:]
+        slope, shift, sd = _step_coefficients(params, nodes)
+        assert slope[-1] == 0.0 and shift[-1] == params.z
+        assert np.array_equal(shift, cond_mean(params, t1, 0.0, t2))
+        assert np.array_equal(sd, cond_std(params, t1, t2))
+        assert np.array_equal(slope, np.sinh(5.0 * (1.0 - t2))
+                              / np.sinh(5.0 * (1.0 - t1)))
+
+
 def test_paths_pinned_at_horizon(std_params):
     # walk paths with the simulator's own transition: after the last step
     # every position is exactly z (z = 0.7, N = 100 once landed 1 ulp off)
