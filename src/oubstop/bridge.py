@@ -10,7 +10,7 @@ in canonical coordinates (pulling level 0, horizon 1). The conditional law
 between two times is Gaussian and available in closed form, so paths can be
 sampled exactly; no Euler stepping is used anywhere. The drift blows up as
 t -> 1, which is why exact transitions matter near the horizon. The law's
-sinh factors are computed here only (_sinh_factors), for mc and kernel too.
+sinh factors and Gaussian step are computed here only, for mc and kernel too.
 
 General pulling level theta and horizon T are handled by an affine
 reduction to the canonical problem (shift space by theta, rescale time by
@@ -175,13 +175,16 @@ def _sinh_factors(params: OUBParams, rem1, gap, rem2):
 
 
 def _transition_factors(caller: str, params: OUBParams, t1, t2):
-    """_sinh_factors of canonical times 0 <= t1 <= t2 <= 1, or ValueError."""
+    """X_t2 given X_t1 = x is N(slope*x + shift, var) for canonical times
+    0 <= t1 <= t2 <= 1, t1 < 1: (slope, shift, var), or ValueError."""
     _require_canonical(params)
-    t1 = np.asarray(t1, dtype=float)
-    t2 = np.asarray(t2, dtype=float)
+    t1, t2 = np.asarray(t1, dtype=float), np.asarray(t2, dtype=float)
     if not ((0.0 <= t1) & (t1 < 1.0) & (t1 <= t2) & (t2 <= 1.0)).all():
         raise ValueError(f"{caller} requires 0 <= t1 <= t2 <= 1, t1 < 1")
-    return _sinh_factors(params, 1.0 - t1, t2 - t1, 1.0 - t2)
+    den, s_gap, s_rem = _sinh_factors(params, 1.0 - t1, t2 - t1, 1.0 - t2)
+    var = params.gamma ** 2 / abs(params.alpha) * s_rem * s_gap / den
+    # each weight over den on its own: exactly 0 and 1 at t2 = 1, so z exactly
+    return s_rem / den, params.z * (s_gap / den), var
 
 
 def cond_mean(params: OUBParams, t1, x1, t2):
@@ -189,10 +192,8 @@ def cond_mean(params: OUBParams, t1, x1, t2):
 
     Equals x1 at t2 = t1 and z at t2 = 1 (the pinned endpoint).
     """
-    x1 = np.asarray(x1, dtype=float)
-    den, s_gap, s_rem = _transition_factors("cond_mean", params, t1, t2)
-    # each weight over den on its own: exactly 0 and 1 at t2 = 1, so z exactly
-    return x1 * (s_rem / den) + params.z * (s_gap / den)
+    slope, shift, _ = _transition_factors("cond_mean", params, t1, t2)
+    return np.asarray(x1, dtype=float) * slope + shift
 
 
 def cond_std(params: OUBParams, t1, t2):
@@ -201,5 +202,4 @@ def cond_std(params: OUBParams, t1, t2):
     sqrt((gamma^2/alpha) * sinh(a(1-t2)) sinh(a(t2-t1)) / sinh(a(1-t1)));
     zero at t2 = t1 and at the pinned endpoint t2 = 1, and even in alpha.
     """
-    den, s_gap, s_rem = _transition_factors("cond_std", params, t1, t2)
-    return np.sqrt(params.gamma ** 2 / abs(params.alpha) * s_rem * s_gap / den)
+    return np.sqrt(_transition_factors("cond_std", params, t1, t2)[2])

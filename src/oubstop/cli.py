@@ -195,23 +195,22 @@ def cmd_value(args: argparse.Namespace) -> int:
     params, cfg = _params(args), _solver_config(args)
     if args.grid is not None and (args.t, args.x) == (None, None):
         ts, xs = _parse_grid(args.grid)
-        pts = [(t, x) for t in ts for x in xs]
     elif args.grid is None and None not in (args.t, args.x):
-        pts = [(args.t, args.x)]
+        ts, xs = np.array([args.t]), np.array([args.x])
     else:
         raise ValueError("value needs either --t and --x or --grid")
-    if not all(0.0 <= t < params.horizon for t, _ in pts):
+    if not all(0.0 <= t < params.horizon for t in ts):
         raise ValueError(f"value needs t in [0, {params.horizon!r})")
     solved = solve_boundary(params, cfg)
     red, sol = solved.reduction, solved.canonical
     queries = [ValueSurfaceQuery(t=float(red.to_canonical_time(t)),
-                                 x=float(red.to_canonical_space(x)))
-               for t, x in pts]
+                                 x=red.to_canonical_space(xs)) for t in ts]
     _warn_drift_sign(solved)
-    ts, xs = zip(*pts)
     vs = [red.from_canonical_space(value(red.canonical, sol, q))
           for q in queries]
-    _write_columns(("t", "x", "V"), (ts, xs, vs), args.out)
+    _write_columns(("t", "x", "V"), (np.repeat(ts, xs.size),
+                                     np.tile(xs, ts.size),
+                                     np.concatenate(vs)), args.out)
     return 0
 
 

@@ -47,8 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bridge import (OUBParams, _require_canonical, _sinh_factors, cond_mean,
-                     cond_std, drift)
+from .bridge import (OUBParams, _require_canonical, _transition_factors,
+                     cond_mean, cond_std, drift)
 from .kernel import KernelQuery, density
 from .solver import BoundarySolution, _require_integers, boundary_eval
 
@@ -154,10 +154,9 @@ def _monitor_nodes(sol: BoundarySolution, t0: float):
 
 def _step_coefficients(params: OUBParams, nodes: np.ndarray):
     """Step k's exact transition: cond_mean slope[k]*x + shift[k], sd[k]."""
-    den, s_gap, s_rem = _sinh_factors(params, 1.0 - nodes[:-1],
-                                      np.diff(nodes), 1.0 - nodes[1:])
-    var = params.gamma ** 2 / abs(params.alpha) * s_rem * s_gap / den
-    return s_rem / den, params.z * (s_gap / den), np.sqrt(var)
+    slope, shift, var = _transition_factors("simulate_stopped_payoff", params,
+                                            nodes[:-1], nodes[1:])
+    return slope, shift, np.sqrt(var)
 
 
 def _advance(x: np.ndarray, k: int, slope, shift, sd,

@@ -176,7 +176,7 @@ def _riemann_rows(params: OUBParams, nodes: np.ndarray, starts):
     or past t_{N-1} has an empty row, so np.add.reduceat, which returns the
     entry at the offset for an empty run, needs starts before t_{N-1}.
     The solvers take their quadrature and kernel table from here in the
-    blocks of _row_blocks, pricing.value once per point.
+    blocks of _row_blocks, pricing.value once per call (one t).
     """
     starts = np.atleast_1d(np.asarray(starts, dtype=float))
     first = np.searchsorted(nodes, starts, side="right")

@@ -168,6 +168,25 @@ def test_value_grid_mode(tmp_path):
     assert len(rows) == 1 + 4 * 3
 
 
+def test_value_prices_one_row_per_t(tmp_path, monkeypatch, capsys):
+    calls = []
+    priced = cli.value
+    monkeypatch.setattr(cli, "value",
+                        lambda p, sol, q: calls.append(q) or priced(p, sol, q))
+    out = tmp_path / "surface.csv"
+    assert run_cli("value", "--n", "60", "--grid", "0:0.9:4,-1:1:3",
+                   "--out", str(out)) == 0
+    assert [q.t for q in calls] == list(np.linspace(0.0, 0.9, 4))
+    assert all(q.x.shape == (3,) for q in calls)
+    # the --t/--x point is the 1x1 grid
+    assert run_cli("value", "--n", "60", "--t", "0.3", "--x", "-0.2") == 0
+    point = capsys.readouterr().out
+    assert run_cli("value", "--n", "60", "--grid",
+                   "0.3:0.3:1,-0.2:-0.2:1") == 0
+    assert capsys.readouterr().out == point
+    assert len(calls) == 6
+
+
 def test_value_grid_11x11_within_budget(tmp_path):
     import time
     out = tmp_path / "surface.csv"

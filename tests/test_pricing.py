@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,11 +9,14 @@ from oubstop import (
     SolverConfig,
     ValueSurfaceQuery,
     boundary_eval,
+    drift_kernel,
     make_context,
     original_to_transformed,
     picard_solve,
     value,
 )
+from oubstop import pricing
+from oubstop.solver import _BLOCK_ENTRIES
 from oubstop.transform import upsilon
 
 from mirror import _boundary_transformed, gain, transformed_value
@@ -22,6 +28,91 @@ def test_query_validation():
     for x in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite x"):
             ValueSurfaceQuery(t=0.2, x=x)
+
+
+def _one_point_value(params, sol, t, x, clamp):
+    """V(t, x) by one Riemann row for the one point, summed as a 1-D array:
+    the reference for value's batched, chunked rows."""
+    if clamp and x >= boundary_eval(sol, t):
+        return x
+    _, j, table = pricing._riemann_rows(params, sol.grid.nodes, t)
+    k = drift_kernel(params, None, x, None, sol.beta[j], table=table)
+    return float(params.z - k.sum())
+
+
+@pytest.mark.parametrize("clamp", [True, False])
+@pytest.mark.parametrize("t", [0.0, 0.37, 0.9, 0.9999])
+def test_array_value_is_the_one_point_sums_bit_for_bit(std_params,
+                                                       std_solution, clamp, t):
+    # x on both sides of beta(t) and more of them than one kernel evaluation
+    # takes; t = 0.9999 is in the dropped terminal strip (an empty row)
+    row = np.count_nonzero(std_solution.grid.nodes[:-1] > t)
+    b = boundary_eval(std_solution, t)
+    xs = np.linspace(b - 4.0, b + 1.0, _BLOCK_ENTRIES // max(row, 1) + 7)
+    xs[3] = b
+    got = value(std_params, std_solution, ValueSurfaceQuery(t=t, x=xs),
+                clamp=clamp)
+    want = np.array([_one_point_value(std_params, std_solution, t, float(x),
+                                      clamp) for x in xs])
+    assert got.shape == xs.shape
+    assert got.tobytes() == want.tobytes()
+    one = value(std_params, std_solution, ValueSurfaceQuery(t=t, x=xs[5]),
+                clamp=clamp)
+    assert type(one) is float and one == want[5]
+
+
+def test_value_builds_one_row_per_call(std_params, std_solution, monkeypatch):
+    calls = []
+    rows = pricing._riemann_rows
+    monkeypatch.setattr(pricing, "_riemann_rows",
+                        lambda *a: calls.append(a) or rows(*a))
+    xs = np.linspace(-3.0, 1.0, 500)
+    value(std_params, std_solution, ValueSurfaceQuery(t=0.2, x=xs))
+    assert len(calls) == 1
+    # x all in the stopping region: no row at all
+    value(std_params, std_solution, ValueSurfaceQuery(t=0.2, x=xs + 5.0))
+    assert len(calls) == 1
+
+
+def test_value_memory_stays_of_one_row(std_params, std_solution):
+    # one unchunked evaluation over 20000 x and the 499-entry row at t = 0
+    # would hold three 80 MB arrays
+    xs = np.linspace(-3.0, 0.0, 20000)
+    tracemalloc.start()
+    try:
+        value(std_params, std_solution, ValueSurfaceQuery(t=0.0, x=xs))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
+@pytest.mark.parametrize("alpha, t, x", [(1.0, 0.0, -1e308),
+                                         (1.0, 0.0, -1e300),
+                                         (5.0, 0.0, -1e154),
+                                         (5.0, 0.5, -1e200)])
+def test_value_far_below_the_boundary_is_z_silently(alpha, t, x):
+    p = OUBParams(alpha=alpha, gamma=1.0, z=0.0)
+    sol = picard_solve(p, SolverConfig(n=500))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = value(p, sol, ValueSurfaceQuery(t=t, x=x))
+        vs = value(p, sol, ValueSurfaceQuery(t=t, x=np.array([x, -40.0])))
+    assert v == 0.0
+    assert vs[0] == 0.0 and vs[1] == value(
+        p, sol, ValueSurfaceQuery(t=t, x=-40.0))
+
+
+@pytest.mark.parametrize("z", [1.0, -1.0])
+def test_value_far_below_is_z_where_the_erfc_argument_rounds_coarsely(z):
+    # at gamma = 1e-50 the erfc arguments reach 1e50, where their rounding
+    # is far above 1. At z = -1 the clip point is below 0, and without its
+    # relative margin it has nonzero terms (V(0, -1e5) came out -1.00006);
+    # at z = 1 it would lie above 0, and x is raised to 0 instead
+    p = OUBParams(alpha=1.0, gamma=1e-50, z=z)
+    sol = picard_solve(p, SolverConfig(n=40))
+    for t in (0.0, 0.5):
+        assert value(p, sol, ValueSurfaceQuery(t=t, x=-1e5)) == z
 
 
 def test_stopping_region_identity(std_params, std_solution):
