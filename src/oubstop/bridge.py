@@ -167,10 +167,10 @@ def drift(params: OUBParams, t, x):
     return aa * (params.z - np.cosh(rem) * x) / np.sinh(rem)
 
 
-def _sinh_factors(params: OUBParams, rem1, gap, rem2):
-    """sinh(|alpha| r) of the spans rem1 = 1 - t1, gap = t2 - t1 and rem2 =
-    1 - t2 of a canonical transition, unchecked: the one copy of these."""
-    aa = abs(params.alpha)
+def _sinh_factors(alpha: float, rem1, gap, rem2):
+    """sinh(|alpha| r) of canonical spans rem1 = 1 - t1, gap = t2 - t1 and
+    rem2 = 1 - t2, unchecked: the one copy, for law, kernel and transform."""
+    aa = abs(alpha)
     return np.sinh(aa * rem1), np.sinh(aa * gap), np.sinh(aa * rem2)
 
 
@@ -181,7 +181,8 @@ def _transition_factors(caller: str, params: OUBParams, t1, t2):
     t1, t2 = np.asarray(t1, dtype=float), np.asarray(t2, dtype=float)
     if not ((0.0 <= t1) & (t1 < 1.0) & (t1 <= t2) & (t2 <= 1.0)).all():
         raise ValueError(f"{caller} requires 0 <= t1 <= t2 <= 1, t1 < 1")
-    den, s_gap, s_rem = _sinh_factors(params, 1.0 - t1, t2 - t1, 1.0 - t2)
+    den, s_gap, s_rem = _sinh_factors(params.alpha, 1.0 - t1, t2 - t1,
+                                      1.0 - t2)
     var = params.gamma ** 2 / abs(params.alpha) * s_rem * s_gap / den
     # each weight over den on its own: exactly 0 and 1 at t2 = 1, so z exactly
     return s_rem / den, params.z * (s_gap / den), var

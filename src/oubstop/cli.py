@@ -182,8 +182,10 @@ def _parse_grid(arg: str):
         t0, t1, nt = tpart.split(":")
         x0, x1, nx = xpart.split(":")
         ends = [float(v) for v in (t0, t1, x0, x1)]
-        if int(nt) < 1 or int(nx) < 1 or not all(map(math.isfinite, ends)):
-            raise ValueError("NT and NX must be >= 1, the ends finite")
+        # finite ends can still overflow np.linspace's spans T1 - T0, X1 - X0
+        finite = ends + [ends[1] - ends[0], ends[3] - ends[2]]
+        if int(nt) < 1 or int(nx) < 1 or not all(map(math.isfinite, finite)):
+            raise ValueError("NT and NX must be >= 1, ends and spans finite")
         return (np.linspace(*ends[:2], int(nt)),
                 np.linspace(*ends[2:], int(nx)))
     except ValueError as exc:

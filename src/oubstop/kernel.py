@@ -88,7 +88,7 @@ class KernelTable:
         aa = abs(params.alpha)
         self.params = params
         # in place, with each formula's operations in order (bits depend on it)
-        sinh_start, sinh_gap, sinh_rem = _sinh_factors(params, rem1, gap, rem2)
+        sinh_start, sinh_gap, sinh_rem = _sinh_factors(aa, rem1, gap, rem2)
         b = self.b = np.cosh(aa * rem2)  # cm, until w and slope fold in
         # the conditional moments of bridge.cond_mean and bridge.cond_std
         q = self.q = sinh_rem / sinh_start  # slope, until inv_v folds into it
@@ -158,6 +158,9 @@ class KernelTable:
         return h
 
 
+# the squared erfc argument u^2 overflows at extreme scales (gamma 1e-100,
+# |z| 1e90) to inf, where exp(-u^2) = 0 is exact: allowed once per call
+@np.errstate(over="ignore")
 def drift_kernel(params: OUBParams, t1, x1, t2, x2, table=None, _work=None):
     """Evaluate K(t1, x1, t2, x2) for canonical params; broadcasts over
     array arguments.

@@ -350,6 +350,8 @@ def _node_root(h, x: float, b0: float, width: float, step: float,
     return b, fb, slope, steps, f"|h| = {abs(fb):.3e} after {steps} steps"
 
 
+# u^2 = inf in KernelTable.residual (gamma 1e-100, |z| 1e90): exp(-u^2) = 0
+@np.errstate(over="ignore")
 def backward_solve(params: OUBParams, cfg: SolverConfig = SolverConfig()) -> BoundarySolution:
     """Solve the discretised free-boundary equation exactly, node by node.
 

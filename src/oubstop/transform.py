@@ -7,9 +7,11 @@ problem for a Brownian motion Y on [0, inf) with gain
     envelope(s) = sqrt((e^alpha + s) * (e^-alpha + s)),
 
 under the strictly increasing clock s = upsilon(t) and the space scaling
-y = x / scale with scale = gamma * sqrt(sinh(alpha)/alpha). oubstop solves
-and prices in original coordinates; verify's initial-node lower bound is
-(beta(0) - z/cosh(alpha)) / scale, so production uses only make_context.
+y = x / scale with scale = gamma * sqrt(sinh(alpha)/alpha). The clock and
+the envelope along it are ratios of the bridge's sinh factors, finite for
+|alpha| <= 700. oubstop solves and prices in original coordinates; verify's
+initial-node lower bound is (beta(0) - z/cosh(alpha)) / scale, so
+production uses only make_context.
 
 Everywhere the constant `scale` replaces the ratio z / c_z: the two agree
 when z != 0, but the ratio is 0/0 at z = 0 while the map itself is regular.
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bridge import OUBParams, _require_canonical
+from .bridge import OUBParams, _require_canonical, _sinh_factors
 
 __all__ = [
     "TransformContext",
@@ -49,34 +51,21 @@ class TransformContext:
 def make_context(params: OUBParams) -> TransformContext:
     _require_canonical(params)
     a = params.alpha
-    # kappa(1) * e^alpha == sinh(alpha)/alpha, even in alpha and stable for
-    # small |alpha|.
     scale = params.gamma * math.sqrt(math.sinh(a) / a)
     return TransformContext(alpha=a, c_z=params.z / scale, scale=scale)
 
 
-def _kappa(alpha: float, t):
-    """kappa(t) = (1 - e^{-2 alpha t}) / (2 alpha)."""
-    t = np.asarray(t, dtype=float)
-    return -np.expm1(-2.0 * alpha * t) / (2.0 * alpha)
-
-
-def _kappa_gap(alpha: float, t):
-    # kappa(1) - kappa(t) = e^{-2 alpha t} (1 - e^{-2 alpha (1 - t)}) / (2 alpha),
-    # free of cancellation as t -> 1 and of overflow for large alpha > 0
-    return -np.exp(-2.0 * alpha * t) * np.expm1(-2.0 * alpha * (1.0 - t)) / (2.0 * alpha)
-
-
 def upsilon(alpha: float, t):
     """Clock of the transformed problem:
-    upsilon(t) = kappa(t) e^{-alpha} / (kappa(1) - kappa(t)).
+    upsilon(t) = sinh(|alpha| t) / sinh(|alpha| (1 - t)).
 
     Strictly increasing bijection [0, 1) -> [0, inf) with upsilon(0) = 0.
     """
     t = np.asarray(t, dtype=float)
     if not ((0.0 <= t) & (t < 1.0)).all():
         raise ValueError("upsilon requires t in [0, 1)")
-    return _kappa(alpha, t) * math.exp(-alpha) / _kappa_gap(alpha, t)
+    _, s_gap, s_rem = _sinh_factors(alpha, 1.0, t, 1.0 - t)
+    return s_gap / s_rem
 
 
 def envelope(alpha: float, s):
@@ -97,6 +86,7 @@ def envelope_deriv(alpha: float, s):
 def original_to_transformed(ctx: TransformContext, t, beta_t):
     """Map an original boundary point (t, beta(t)), t in [0, 1), to the
     transformed coordinates (s, b(s))."""
+    t = np.asarray(t, dtype=float)
     s = upsilon(ctx.alpha, t)
-    b_s = beta_t * envelope(ctx.alpha, s) / ctx.scale - ctx.c_z * s
-    return s, b_s
+    s_one, _, s_rem = _sinh_factors(ctx.alpha, 1.0, t, 1.0 - t)
+    return s, beta_t * (s_one / s_rem) / ctx.scale - ctx.c_z * s

@@ -31,7 +31,7 @@ from scipy.special import erfc
 
 from oubstop import boundary_eval, envelope, envelope_deriv
 from oubstop.kernel import density
-from oubstop.transform import _kappa, original_to_transformed, upsilon
+from oubstop.transform import original_to_transformed, upsilon
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _TRUNCATION_TIME = 1.0 - 1e-6
@@ -47,6 +47,14 @@ def survival(u):
     """
     out = 0.5 * erfc(np.asarray(u, dtype=float) * _INV_SQRT2)
     return out if out.ndim else float(out)
+
+
+def _kappa(alpha: float, t):
+    """kappa(t) = (1 - e^{-2 alpha t}) / (2 alpha): the clock's own
+    derivation here, upsilon(t) = kappa(t) e^{-alpha} / (kappa(1) -
+    kappa(t)), independent of the sinh ratio that oubstop.transform uses."""
+    t = np.asarray(t, dtype=float)
+    return -np.expm1(-2.0 * alpha * t) / (2.0 * alpha)
 
 
 def _kappa_inv(alpha: float, s):

@@ -489,6 +489,22 @@ def test_small_volatility_at_the_floor_still_solves(tmp_path):
     assert np.max(np.abs(beta / 1e-100 - beta1)) <= 1e-9
 
 
+@pytest.mark.parametrize("argv", [("solve", "--z", "1e90"),
+                                  ("solve", "--z", "-1e90"),
+                                  ("verify", "--z", "1e90", "--paths", "2000")])
+def test_extreme_scales_run_without_overflow_warnings(argv, capsys):
+    # at gamma 1e-100 and |z| 1e90 the kernel's squared erfc argument
+    # overflows to inf, where exp(-inf) = 0 is the exact term: no numpy
+    # warning, and at z = 1e90 every node is z (a warned far pin at -1e90)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(*argv, "--gamma", "1e-100", "--n", "60") == 0
+    out = capsys.readouterr().out
+    if argv[:3] == ("solve", "--z", "1e90"):
+        beta = [float(r.split(",")[1]) for r in out.splitlines()[1:]]
+        assert len(beta) == 61 and all(b == 1e90 for b in beta)
+
+
 @pytest.mark.parametrize("paths", [3, 4, 5])
 def test_verify_constant_paired_difference_is_certain(paths, tmp_path):
     # a strong pull where both shifted rules differ from the unshifted one
@@ -632,8 +648,12 @@ def test_validation_errors_exit_code(capsys):
     for x in ("nan", "inf"):
         assert run_cli("value", "--n", "20", "--t", "0.2", "--x", x) == 2
         assert "finite x" in capsys.readouterr().err
-    assert run_cli("value", "--grid", "0:0.5:2,-inf:0:2") == 2
-    assert "bad --grid value" in capsys.readouterr().err
+    # an infinite end, and finite ends whose span X1 - X0 or T1 - T0
+    # overflows (np.linspace would warn and fill the grid with nan)
+    for grid in ("0:0.5:2,-inf:0:2", "0:0.9:2,-1e308:1e308:2",
+                 "-1e308:1e308:2,0:1:2"):
+        assert run_cli("value", f"--grid={grid}") == 2
+        assert capsys.readouterr().err.startswith("error: bad --grid value")
     assert run_cli("value", "--horizon", "3", "--t", "3", "--x", "0") == 2
     assert "t in [0, 3.0)" in capsys.readouterr().err
     assert run_cli("verify", "--seed", "-3") == 2

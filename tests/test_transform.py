@@ -11,9 +11,10 @@ from oubstop import (
     make_context,
     original_to_transformed,
 )
-from oubstop.transform import _kappa as kappa, upsilon
+from oubstop.transform import upsilon
 
-from mirror import _kappa_inv as kappa_inv, gain, gain_t, upsilon_inv
+from mirror import _kappa as kappa, _kappa_inv as kappa_inv, gain, gain_t
+from mirror import upsilon_inv
 
 
 def test_kappa_at_zero():
@@ -53,18 +54,35 @@ def test_upsilon_strictly_increasing():
 
 
 def test_upsilon_large_alpha_stays_finite():
-    # kappa(1) - kappa(t) written as e^{-2 alpha} e^{2 alpha (1 - t)}
-    # overflows from alpha about 355; the gap must match the plain
-    # difference and stay finite up to the slope limit 700
+    # the sinh ratio must match the mirror's kappa form of the clock, and
+    # stay finite up to the slope limit 700, where that form overflows
     t = np.linspace(0.0, 0.5, 51)
     for a in (0.5, 3.0):
         assert np.allclose(upsilon(a, t), kappa(a, t) * math.exp(-a)
                            / (kappa(a, 1.0) - kappa(a, t)), rtol=1e-13)
+    # the reference writes each sinh ratio as an exponential times a ratio
+    # of expm1: upsilon(t) = e^{a(2t-1)} expm1(-2at) / expm1(-2a(1-t)) and
+    # envelope(upsilon(t)) = e^{at} expm1(-2a) / expm1(-2a(1-t)), a = |alpha|;
+    # b can cancel to 0, so its error is measured against its two terms
+    t = np.linspace(0.0, 0.999, 1000)
+    beta = np.random.default_rng(43).uniform(-5.0, 5.0, t.size)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for a in (360.0, 700.0):
-            u = upsilon(a, t)
-            assert u[0] == 0.0 and np.all(np.diff(u) > 0.0)
+        for alpha in (1e-4, 1.0, -3.0, 50.0, 360.0, 700.0):
+            a = abs(alpha)
+            rem = np.expm1(-2.0 * a * (1.0 - t))
+            ref_s = np.exp(a * (2.0 * t - 1.0)) * np.expm1(-2.0 * a * t) / rem
+            ref_f = np.exp(a * t) * np.expm1(-2.0 * a) / rem
+            s = upsilon(alpha, t)
+            assert s[0] == 0.0 and np.isfinite(s).all()
+            assert np.all(np.diff(s) > 0.0)
+            assert np.all(np.abs(s - ref_s) <= 3e-13 * ref_s), alpha
+            ctx = make_context(OUBParams(alpha=alpha, gamma=0.8, z=1.5))
+            s_b, b = original_to_transformed(ctx, t, beta)
+            assert np.array_equal(s_b, s) and np.isfinite(b).all()
+            ref_b = beta * ref_f / ctx.scale - ctx.c_z * ref_s
+            terms = np.abs(beta) * ref_f / ctx.scale + abs(ctx.c_z) * ref_s
+            assert np.all(np.abs(b - ref_b) <= 3e-13 * terms), alpha
 
 
 def test_time_maps_domain_errors():
