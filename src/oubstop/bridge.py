@@ -125,8 +125,9 @@ def reduce_to_canonical(params: OUBParams) -> CanonicalReduction:
     Shifting by theta maps the bridge onto one pinned at z - theta; running
     the clock at rate 1/T maps horizon T onto 1 with slope alpha*T and
     volatility gamma*sqrt(T). A canonical slope |alpha|*T above 700 is
-    refused: the kernel overflows soon after. So are an infinite gamma^2
-    and a canonical gamma below 1e-100, where the solvers lose the scale.
+    refused: the kernel overflows soon after. So are an infinite gamma^2,
+    gamma^2/|alpha| (the law's variance scale) or pin z - theta, and a
+    canonical gamma below 1e-100, where the solvers lose the scale.
     """
     alpha = abs(params.alpha * params.horizon)
     if alpha > _MAX_ALPHA:
@@ -136,13 +137,21 @@ def reduce_to_canonical(params: OUBParams) -> CanonicalReduction:
     if not math.isfinite(gamma * gamma):
         raise ValueError("(gamma * sqrt(horizon))^2 overflows, got "
                          f"gamma * sqrt(horizon) = {gamma!r}")
+    if not alpha or not math.isfinite(gamma ** 2 / alpha):
+        raise ValueError("gamma^2 / |alpha| overflows, got gamma * "
+                         f"sqrt(horizon) = {gamma!r} and |alpha| * horizon "
+                         f"= {alpha!r}")
     if gamma < _MIN_GAMMA:
         raise ValueError(f"gamma * sqrt(horizon) must be >= {_MIN_GAMMA:g}, "
                          f"got {gamma!r}")
+    z = params.z - params.theta
+    if not math.isfinite(z):
+        raise ValueError(f"the canonical pin z - theta overflows, got "
+                         f"z = {params.z!r} and theta = {params.theta!r}")
     canonical = OUBParams(
         alpha=alpha,
         gamma=gamma,
-        z=params.z - params.theta,
+        z=z,
         theta=0.0,
         horizon=1.0,
     )

@@ -31,7 +31,7 @@ from .solver import (
     SolverConfig,
     TimeGrid,
     _SHEPP,
-    _drift_sign_gap,
+    _drift_sign_bound,
     solve_boundary,
 )
 from .transform import make_context
@@ -144,15 +144,15 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
 def _warn_drift_sign(sol: SolvedBoundary) -> None:
     """One stderr line if nodes of sol sit at or below the drift-sign bound,
     where verify's drift_sign_bound row fails."""
-    gap = _drift_sign_gap(sol.reduction.canonical, sol.canonical)
-    below = int(np.count_nonzero(~(gap > 0)))
+    margin = sol.drift_margin
+    below = int(np.count_nonzero(~(margin > 0)))
     if below:
-        p, n = sol.reduction.original, sol.canonical.grid.n
+        p = sol.reduction.original
         print(f"warning: alpha={p.alpha:g} gamma={p.gamma:g} z={p.z:g} "
-              f"theta={p.theta:g} horizon={p.horizon:g} n={n}: "
-              f"{below} of {n - 1} nodes at or below the drift-sign "
-              "bound z/cosh(alpha(1-t)), which the true boundary stays above",
-              file=sys.stderr)
+              f"theta={p.theta:g} horizon={p.horizon:g} "
+              f"n={sol.canonical.grid.n}: {below} of {margin.size} nodes at "
+              "or below the drift-sign bound z/cosh(alpha(1-t)), which the "
+              "true boundary stays above", file=sys.stderr)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -216,9 +216,10 @@ def cmd_value(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_checks(params: OUBParams, sol: BoundarySolution, mc: MCConfig):
-    """Yield (name, statistic, threshold, passed) verification rows for the
-    canonical problem params."""
+def _verify_checks(solved: SolvedBoundary, mc: MCConfig):
+    """Yield (name, statistic, threshold, passed) verification rows for
+    solved, checked on its canonical problem."""
+    params, sol = solved.reduction.canonical, solved.canonical
     z, gamma = params.z, params.gamma
 
     yield ("terminal_pinning", abs(float(sol.beta[-1]) - z), 0.0,
@@ -258,17 +259,14 @@ def _verify_checks(params: OUBParams, sol: BoundarySolution, mc: MCConfig):
                 if entry.mean_diff != 0.0 else 0.0
         yield (name, stat, 3.0, stat <= 3.0)
 
-    gap = _drift_sign_gap(params, sol)
-
     # The transformed lower bound at t = 0, b(0) - c_z f(0)/f'(0), below
-    # which the gain grows in time, is gap[0] / scale: upsilon(0) = 0,
-    # f(0) = 1 and f'(0) = cosh(alpha).
-    margin = float(gap[0] / make_context(params).scale)
+    # which the gain grows in time, is (beta(0) - z/cosh(alpha)) / scale:
+    # upsilon(0) = 0, f(0) = 1 and f'(0) = cosh(alpha).
+    gap = sol.beta[0] - _drift_sign_bound(params, 0.0)
+    margin = float(gap / make_context(params).scale)
     yield ("boundary_lower_bound", margin, 0.0, margin > 0.0)
 
-    # Margins are in units of the node's step scale gamma*sqrt(t_{i+1} - t_i).
-    steps = np.diff(sol.grid.nodes[:-1])
-    margin = float(np.min(gap / (gamma * np.sqrt(steps))))
+    margin = float(np.min(solved.drift_margin))
     yield ("drift_sign_bound", margin, 0.0, margin > 0.0)
 
 
@@ -278,8 +276,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not threads.isdecimal() or int(threads) < 1:
         raise ValueError(f"OUBSTOP_THREADS must be an integer >= 1, got {threads!r}")
     mc = MCConfig(paths=args.paths, seed=args.seed, workers=int(threads))
-    red = reduce_to_canonical(params)
     if args.boundary is not None:
+        red = reduce_to_canonical(params)
         if args.n is not None:
             raise ValueError("--n does not apply with --boundary, which is "
                              "verified as read")
@@ -299,16 +297,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
             grid = TimeGrid(nodes)
         except ValueError as err:
             raise ValueError(f"{args.boundary}: {err}") from err
-        sol = BoundarySolution(
+        solved = SolvedBoundary(red, BoundarySolution(
             grid=grid,
             beta=np.asarray(red.to_canonical_space(b), dtype=float),
-            iterations=0, final_residual=math.nan, method="file")
+            iterations=0, final_residual=math.nan, method="file"))
     else:
-        sol = solve_boundary(params, _solver_config(args)).canonical
+        solved = solve_boundary(params, _solver_config(args))
 
     lines = ["check,statistic,threshold,result"]
     failed = False
-    for name, stat, thr, ok in _verify_checks(red.canonical, sol, mc):
+    for name, stat, thr, ok in _verify_checks(solved, mc):
         failed = failed or not ok
         lines.append(f"{name},{stat:.10g},{thr:.10g},"
                      f"{'pass' if ok else 'fail'}")
@@ -324,15 +322,14 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
     def solve_beta(alpha: float, gamma: float, z: float,
                    n: int) -> SolvedBoundary:
-        # Each distinct canonical problem is solved once: +-alpha reduce to
-        # the same one, and the figures share their alpha = gamma = 1 curves
-        red = reduce_to_canonical(OUBParams(alpha=alpha, gamma=gamma, z=z))
-        solver = SolverConfig(n=n)
-        key = (red.canonical, solver)
+        # Each distinct canonical problem is solved once: +-alpha give the
+        # same nodes and values, and the figures share alpha = gamma = 1
+        key = (abs(alpha), gamma, z, n)
         if key not in solved:
-            solved[key] = solve_boundary(red.canonical, solver).canonical
-            _warn_drift_sign(SolvedBoundary(red, solved[key]))
-        return SolvedBoundary(reduction=red, canonical=solved[key])
+            solved[key] = solve_boundary(
+                OUBParams(alpha=alpha, gamma=gamma, z=z), SolverConfig(n=n))
+            _warn_drift_sign(solved[key])
+        return solved[key]
 
     def ztag(z: float) -> str:
         return ("m" if z < 0 else "p") + f"{abs(z):g}" if z else "0"

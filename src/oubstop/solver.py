@@ -147,12 +147,6 @@ def _drift_sign_bound(params: OUBParams, t):
     return params.z / np.cosh(params.alpha * (1.0 - t))
 
 
-def _drift_sign_gap(params: OUBParams, sol: BoundarySolution) -> np.ndarray:
-    """beta_i - _drift_sign_bound(t_i) over the solved nodes 0..N-2; a node
-    at or below 0 is wrong: the mesh does not resolve a strong pull."""
-    return sol.beta[:-2] - _drift_sign_bound(params, sol.grid.nodes[:-2])
-
-
 def boundary_eval(sol: BoundarySolution, t):
     """Piecewise-linear boundary interpolation; exact at the grid nodes and
     equal to z at t = 1."""
@@ -418,22 +412,30 @@ class SolvedBoundary:
     """A boundary for general (theta, horizon) parameters.
 
     Wraps the canonical solution along with the affine reduction; nodes and
-    values are exposed in original coordinates.
+    values are exposed in original coordinates. drift_margin is, canonical,
+    (beta_i - z/cosh(alpha(1 - t_i))) / (gamma*sqrt(t_{i+1} - t_i)) at the
+    solved nodes 0..N-2: the true boundary stays above that drift-sign
+    bound, so a node at or below 0 shows a mesh too coarse for the pull.
     """
 
     reduction: CanonicalReduction
     canonical: BoundarySolution
     nodes: np.ndarray = field(init=False)
     values: np.ndarray = field(init=False)
+    drift_margin: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        nodes = self.reduction.from_canonical_time(self.canonical.grid.nodes)
+        params, t = self.reduction.canonical, self.canonical.grid.nodes
+        nodes = self.reduction.from_canonical_time(t)
         values = self.reduction.from_canonical_space(self.canonical.beta)
         values[-1] = self.reduction.original.z  # pin exactly
-        nodes.flags.writeable = False
-        values.flags.writeable = False
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "values", values)
+        with np.errstate(over="ignore"):  # far-out partial boundaries: +-inf
+            gap = self.canonical.beta[:-2] - _drift_sign_bound(params, t[:-2])
+            margin = gap / (params.gamma * np.sqrt(np.diff(t[:-1])))
+        for name, array in (("nodes", nodes), ("values", values),
+                            ("drift_margin", margin)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     def eval(self, t):
         """Piecewise-linear boundary at original time t in [0, horizon]."""

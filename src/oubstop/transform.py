@@ -71,9 +71,15 @@ def upsilon(alpha: float, t):
 def envelope(alpha: float, s):
     """Normalising envelope of the transformed gain:
     sqrt((e^alpha + s)(e^-alpha + s)). Satisfies envelope(0) = 1,
-    envelope(s) >= sqrt(1 + s^2), and is increasing on s >= 0."""
+    envelope(s) >= sqrt(1 + s^2), and is increasing on s >= 0. Where the
+    product overflows, as along the clock at large |alpha|, it is the
+    product of the two square roots."""
     s = np.asarray(s, dtype=float)
-    return np.sqrt((math.exp(alpha) + s) * (math.exp(-alpha) + s))
+    hi, lo = math.exp(alpha) + s, math.exp(-alpha) + s
+    with np.errstate(over="ignore"):
+        prod = hi * lo
+    split = np.sqrt(np.abs(hi)) * np.sqrt(np.abs(lo))  # |hi||lo| = prod there
+    return np.where(np.isinf(prod), split, np.sqrt(prod))[()]
 
 
 def envelope_deriv(alpha: float, s):

@@ -220,6 +220,23 @@ def test_reduce_refuses_volatility_whose_square_overflows():
             reduce_to_canonical(p)
 
 
+def test_reduce_refuses_overflowing_variance_scale_and_pin():
+    # gamma^2/|alpha| scales the law's variance; an underflowed canonical
+    # slope |alpha| * T = 0 makes it infinite too
+    red = reduce_to_canonical(OUBParams(alpha=1e-308, gamma=1.0, z=0.0))
+    assert red.canonical.alpha == 1e-308
+    for alpha, gamma, horizon in ((1e-310, 1.0, 1.0), (0.5, 1e154, 1.0),
+                                  (1e-10, 1e150, 1.0), (5e-324, 1.0, 1.0),
+                                  (1e-300, 1.0, 1e-30)):
+        p = OUBParams(alpha=alpha, gamma=gamma, z=0.0, horizon=horizon)
+        with pytest.raises(ValueError, match=r"gamma\^2 / \|alpha\| "
+                                             "overflows"):
+            reduce_to_canonical(p)
+    p = OUBParams(alpha=1.0, gamma=1.0, z=1e308, theta=-1e308)
+    with pytest.raises(ValueError, match="pin z - theta overflows"):
+        reduce_to_canonical(p)
+
+
 def test_reduce_refuses_volatility_below_the_floor():
     # the solvers scale with gamma down to about 1e-151; the canonical
     # gamma * sqrt(T) must be at least 1e-100

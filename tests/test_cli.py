@@ -262,9 +262,10 @@ def test_verify_lower_bound_away_from_zero_pin(alpha, gamma, z, tmp_path):
     # the row is the paper's b(0) - c_z (f(0) - s f'(0)) / f'(0), s = 0,
     # computed in original coordinates as the drift-sign gap over the scale
     params = OUBParams(alpha=alpha, gamma=gamma, z=z)
-    sol = solve_boundary(params, SolverConfig(n=500)).canonical
+    solved = solve_boundary(params, SolverConfig(n=500))
+    sol = solved.canonical
     rows = {r[0]: r[1] for r in cli._verify_checks(
-        params, sol, MCConfig(paths=10, seed=1))}
+        solved, MCConfig(paths=10, seed=1))}
     ctx = make_context(params)
     s0, b0 = original_to_transformed(ctx, 0.0, float(sol.beta[0]))
     f0, fp0 = envelope(ctx.alpha, s0), envelope_deriv(ctx.alpha, s0)
@@ -289,6 +290,38 @@ def test_verify_drift_sign_bound_checks_every_node(alpha, z, passes,
     assert threshold == "0"
     assert result == ("pass" if passes else "fail")
     assert (float(margin) > 0.0) == passes
+
+
+def _verify_row(out, name):
+    return next(r for r in out.read_text().splitlines()
+                if r.startswith(name + ",")).split(",")[1:]
+
+
+@pytest.mark.parametrize("alpha,z", [(5.0, -5.0), (1.0, 0.0)])
+def test_verify_drift_sign_bound_reads_the_margin(alpha, z, tmp_path):
+    # the row is the least drift_margin of the boundary verified: the one
+    # solved, or the --boundary file's read as verify reads it
+    problem = ("--alpha", str(alpha), "--z", str(z), "--theta", "1",
+               "--horizon", "2")
+    out, src = tmp_path / "r.csv", tmp_path / "b.csv"
+    run_cli("verify", *problem, "--paths", "10", "--out", str(out))
+    params = OUBParams(alpha=alpha, gamma=1.0, z=z, theta=1.0, horizon=2.0)
+    solved = solve_boundary(params)
+    assert (np.min(solved.drift_margin) > 0.0) == (z == 0.0)
+    stat = _verify_row(out, "drift_sign_bound")[0]
+    assert stat == f"{float(np.min(solved.drift_margin)):.10g}"
+
+    assert run_cli("solve", *problem, "--n", "60", "--out", str(src)) == 0
+    run_cli("verify", *problem, "--boundary", str(src), "--paths", "10",
+            "--out", str(out))
+    red = reduce_to_canonical(params)
+    t, beta = read_boundary_csv(str(src))
+    read = SolvedBoundary(red, BoundarySolution(
+        grid=TimeGrid(red.to_canonical_time(t)),
+        beta=red.to_canonical_space(beta), iterations=0,
+        final_residual=np.nan, method="file"))
+    stat = _verify_row(out, "drift_sign_bound")[0]
+    assert stat == f"{float(np.min(read.drift_margin)):.10g}"
 
 
 def test_verify_boundary_rejects_solver_flags(tmp_path, capsys):
@@ -487,6 +520,38 @@ def test_small_volatility_at_the_floor_still_solves(tmp_path):
     _, beta = read_boundary_csv(str(out))
     _, beta1 = read_boundary_csv(str(unit))
     assert np.max(np.abs(beta / 1e-100 - beta1)) <= 1e-9
+
+
+@pytest.mark.parametrize("argv,number,name", [
+    (("--alpha", "1e-310", "--n", "50"), "1e-310", "gamma^2 / |alpha|"),
+    (("--gamma", "1e154", "--alpha", "0.5", "--n", "50"), "1e+154",
+     "gamma^2 / |alpha|"),
+    (("--gamma", "1e150", "--alpha", "1e-10", "--n", "50"), "1e-10",
+     "gamma^2 / |alpha|"),
+    (("--alpha", "5e-324"), "5e-324", "gamma^2 / |alpha|"),
+    (("--z", "1e308", "--theta", "-1e308"), "1e+308", "z - theta")])
+def test_overflowing_canonical_scale_is_refused(argv, number, name, capsys):
+    # gamma^2/|alpha| scales the law's variance (the same in original and
+    # canonical units), z - theta is the canonical pin: where either
+    # overflows, the solvers failed on non-finite rows or warned in numpy
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("solve", *argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert name in err[0] and number in err[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ("--alpha", "1e-308"), ("--alpha", "1e-300"),
+    ("--gamma", "1e150", "--alpha", "1e-3"), ("--gamma", "1e153")])
+def test_scales_below_the_overflow_refusal_still_solve(argv, tmp_path):
+    out = tmp_path / "b.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("solve", *argv, "--out", str(out)) == 0
+    _, beta = read_boundary_csv(str(out))
+    assert beta[-1] == 0.0 and beta[0] > 0.0
 
 
 @pytest.mark.parametrize("argv", [("solve", "--z", "1e90"),

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from oubstop import (
     BoundarySolution,
     ConvergenceError,
     OUBParams,
+    SolvedBoundary,
     SolverConfig,
     TimeGrid,
     ValueSurfaceQuery,
@@ -16,6 +18,7 @@ from oubstop import (
     boundary_eval,
     drift_kernel,
     picard_solve,
+    reduce_to_canonical,
     solve_boundary,
     value,
 )
@@ -277,15 +280,30 @@ def test_solve_boundary_falls_back_to_picard():
 
 @pytest.mark.parametrize("alpha,gamma,z,below", [(5.0, 1.0, -5.0, 240),
                                                   (1.0, 1.0, 0.0, 0)])
-def test_drift_sign_gap_is_the_direct_expression(alpha, gamma, z, below):
-    # the margin of nodes 0..N-2 above z/cosh(alpha(1 - t)) that verify's
-    # rows and the CLI warning read; at (5, 1, -5) N=500 crosses the bound
-    p = OUBParams(alpha=alpha, gamma=gamma, z=z)
-    sol = backward_solve(p, SolverConfig(n=500))
-    t = sol.grid.nodes[:-2]
-    gap = solver._drift_sign_gap(p, sol)
-    assert np.array_equal(gap, sol.beta[:-2] - z / np.cosh(alpha * (1 - t)))
-    assert np.count_nonzero(gap <= 0.0) == below
+def test_drift_margin_is_the_direct_expression(alpha, gamma, z, below):
+    # the margin of nodes 0..N-2 above z/cosh(alpha(1 - t)), in units of
+    # gamma*sqrt(t_{i+1} - t_i), that verify's rows and the CLI warning
+    # read; at (5, 1, -5) N=500 crosses the bound
+    solved = solve_boundary(OUBParams(alpha=-alpha, gamma=gamma, z=z),
+                            SolverConfig(n=500))
+    beta, t = solved.canonical.beta, solved.canonical.grid.nodes
+    gap = beta[:-2] - z / np.cosh(alpha * (1 - t[:-2]))
+    margin = solved.drift_margin
+    assert np.array_equal(margin, gap / (gamma * np.sqrt(np.diff(t[:-1]))))
+    assert margin.size == 499 and np.count_nonzero(margin <= 0.0) == below
+    assert not margin.flags.writeable
+
+
+def test_drift_margin_past_the_largest_float_is_inf_without_warning():
+    # solve --z=1e308 --out writes such a partial boundary
+    p = OUBParams(alpha=1.0, gamma=1e-100, z=1e308)
+    grid = SolverConfig(n=100).build_grid()
+    sol = BoundarySolution(grid=grid, beta=np.full(101, 1e308), iterations=0,
+                           final_residual=math.nan, method="picard")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        margin = SolvedBoundary(reduce_to_canonical(p), sol).drift_margin
+    assert np.isposinf(margin).all()
 
 
 # The grid problems (alpha, gamma, z) of alpha in {0.01, 0.5, 1, 2, 3, 5},

@@ -102,6 +102,25 @@ def test_envelope_basics():
         assert np.all(np.diff(envelope(a, s)) > 0.0)
 
 
+def test_envelope_stays_finite_along_the_clock_at_large_alpha():
+    # along the clock the product (e^a + s)(e^-a + s) overflows at large
+    # |alpha|, where envelope(upsilon(t)) = sinh|alpha| / sinh(|alpha|(1-t))
+    # is finite; there it is the product of the two square roots
+    t = np.linspace(0.0, 0.999, 1000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha in (360.0, 700.0):
+            s = upsilon(alpha, t)
+            with np.errstate(over="ignore"):
+                prod = (math.exp(alpha) + s) * (math.exp(-alpha) + s)
+            assert np.isinf(prod).any()
+            f, fp = envelope(alpha, s), envelope_deriv(alpha, s)
+            ref = np.sinh(alpha) / np.sinh(alpha * (1.0 - t))
+            assert np.isfinite(f).all() and np.isfinite(fp).all()
+            assert np.all(np.abs(f - ref) <= 1e-13 * ref), alpha
+            assert np.all(fp > 0.0)
+
+
 def test_envelope_spot_value():
     # sqrt((e + 1)(1/e + 1)) = sqrt(2 + e + 1/e)
     assert envelope(1.0, 1.0) == pytest.approx(2.2552519304127616, abs=1e-14)
