@@ -107,10 +107,10 @@ class CanonicalReduction:
         return np.add(x, self.original.theta)
 
 
-# Largest canonical slope |alpha|*T accepted. The kernel's coefficient
-# |alpha| cosh(rem) / (2 sinh(rem)), rem = |alpha|(1 - t2), overflows in its
-# numerator once |alpha| passes about 704.6 (rem nears |alpha| at the first
-# node of a fine mesh); 700 leaves a margin.
+# Largest canonical slope |alpha|*T accepted. The kernel table's factors
+# sinh(|alpha|(1 - t1)) and cosh(|alpha|(1 - t2)) overflow once |alpha| passes
+# about 710.5 (1 - t1 = 1 at t1 = 0, and 1 - t2 nears 1 at the first node of a
+# fine mesh); 700 leaves a margin.
 _MAX_ALPHA = 700.0
 # Smallest canonical gamma*sqrt(T) accepted. The solvers scale with gamma
 # down to about 1e-151; below, the kernel's variance is subnormal, and from

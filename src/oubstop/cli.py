@@ -272,6 +272,8 @@ def _verify_checks(solved: SolvedBoundary, mc: MCConfig):
 
 def cmd_verify(args: argparse.Namespace) -> int:
     params = _params(args)
+    if args.paths < 2:  # one path's standard error is 0: no test to make
+        raise ValueError(f"verify needs --paths >= 2, got {args.paths}")
     threads = os.environ.get("OUBSTOP_THREADS", "1").strip()
     if not threads.isdecimal() or int(threads) < 1:
         raise ValueError(f"OUBSTOP_THREADS must be an integer >= 1, got {threads!r}")

@@ -554,20 +554,28 @@ def test_scales_below_the_overflow_refusal_still_solve(argv, tmp_path):
     assert beta[-1] == 0.0 and beta[0] > 0.0
 
 
-@pytest.mark.parametrize("argv", [("solve", "--z", "1e90"),
-                                  ("solve", "--z", "-1e90"),
-                                  ("verify", "--z", "1e90", "--paths", "2000")])
+_TINY = ("--gamma", "1e-100", "--n", "60")
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--z", "1e90", *_TINY), ("solve", "--z", "-1e90", *_TINY),
+    ("verify", "--z", "1e90", "--paths", "2000", *_TINY),
+    ("solve", "--z=1e306"), ("value", "--z=1e306", "--t", "0.5", "--x", "0")])
 def test_extreme_scales_run_without_overflow_warnings(argv, capsys):
     # at gamma 1e-100 and |z| 1e90 the kernel's squared erfc argument
     # overflows to inf, where exp(-inf) = 0 is the exact term: no numpy
-    # warning, and at z = 1e90 every node is z (a warned far pin at -1e90)
+    # warning, and at z = 1e90 every node is z (a warned far pin at -1e90).
+    # At z = 1e306 the table's erfc coefficient z |alpha| cosh(|alpha| gap)
+    # / (2 sinh(|alpha| rem1)) is finite; as z / (2 sinh(|alpha| rem2))
+    # less a cancelling term it overflowed and both solvers failed
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert run_cli(*argv, "--gamma", "1e-100", "--n", "60") == 0
-    out = capsys.readouterr().out
+        assert run_cli(*argv) == 0
+    rows = [r.split(",") for r in capsys.readouterr().out.splitlines()[1:]]
     if argv[:3] == ("solve", "--z", "1e90"):
-        beta = [float(r.split(",")[1]) for r in out.splitlines()[1:]]
-        assert len(beta) == 61 and all(b == 1e90 for b in beta)
+        assert len(rows) == 61 and all(float(b) == 1e90 for _, b in rows)
+    elif argv[1] == "--z=1e306":
+        assert float(rows[-1][-1]) == 1e306
 
 
 @pytest.mark.parametrize("paths", [3, 4, 5])
@@ -723,6 +731,9 @@ def test_validation_errors_exit_code(capsys):
     assert "t in [0, 3.0)" in capsys.readouterr().err
     assert run_cli("verify", "--seed", "-3") == 2
     assert "error: seed must be an integer >= 0" in capsys.readouterr().err
+    # one path has standard error 0, which verify read as a failed check
+    assert run_cli("verify", "--n", "60", "--paths", "1") == 2
+    assert "error: verify needs --paths >= 2" in capsys.readouterr().err
 
 
 def test_verify_rejects_malformed_boundary_file(tmp_path, capsys):

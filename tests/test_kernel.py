@@ -143,26 +143,24 @@ def test_kernel_broadcasts(std_params):
 
 
 def _reference_table(params, rem1, gap, rem2, w=1.0):
-    """KernelTable's arrays as written before it computed them in place:
-    one fresh array per operation, and the weights folded in last."""
+    """KernelTable's arrays in the closed form of its docstring, h = w |alpha|
+    / (2 sinh(|alpha| rem1)), as written before it computed them in place:
+    one fresh array per operation."""
     rem1, gap, rem2 = np.atleast_1d(np.asarray(rem1, dtype=float),
                                     np.asarray(gap, dtype=float),
                                     np.asarray(rem2, dtype=float))
     aa = abs(params.alpha)
-    rem = aa * rem2
-    sinh_rem = np.sinh(rem)
-    sinh_gap = np.sinh(aa * gap)
     sinh_start = np.sinh(aa * rem1)
-    slope = sinh_rem / sinh_start
+    sinh_gap = np.sinh(aa * gap)
+    slope = np.sinh(aa * rem2) / sinh_start
     shift = params.z * sinh_gap / sinh_start
     v = np.sqrt(params.gamma ** 2 / aa * slope * sinh_gap)
     inv_v = 1.0 / math.sqrt(2.0) / v
-    cz = 0.5 * aa * params.z / sinh_rem
-    cm = 0.5 * aa * np.cosh(rem) / sinh_rem
-    cv = 2.0 * (1.0 / math.sqrt(2.0 * math.pi)) * cm * v
-    wcm = w * cm
+    h = 0.5 * aa * w / sinh_start
+    b = np.cosh(aa * rem2) * h
     return dict(q=slope * inv_v, shift=shift, inv_v=inv_v,
-                a=w * cz - wcm * shift, b=wcm * slope, c=w * cv)
+                a=params.z * h * np.cosh(aa * gap), b=b,
+                c=2.0 * (1.0 / math.sqrt(2.0 * math.pi)) * (b / slope) * v)
 
 
 def _assert_table_is_reference(p, rem1, gap, rem2, w):
@@ -174,10 +172,10 @@ def _assert_table_is_reference(p, rem1, gap, rem2, w):
 
 
 def test_kernel_table_matches_reference_formula():
-    # the in-place constructor keeps every operation and its order, so
-    # every array is the formula's bit for bit, with and without weights;
-    # direct == tabled checks cannot see this, both sides go through the
-    # constructor
+    # the in-place constructor keeps every operation of the closed form and
+    # its order, so every array is the formula's bit for bit, with and
+    # without weights; direct == tabled checks cannot see this, both sides
+    # go through the constructor
     rng = np.random.default_rng(23)
     t2 = np.concatenate([rng.uniform(0.0, 1.0, 400),
                          [np.nextafter(1.0, 0.0), 1.0 - 1e-12, 0.5, 0.999]])
@@ -219,6 +217,22 @@ def test_kernel_table_builds_at_collocation_gaps():
             got = getattr(table, name)
             assert got.shape == (n, 16 * n)
             assert np.isfinite(got).all()
+
+
+@pytest.mark.parametrize("alpha", (1.0, 5.0))
+def test_kernel_table_erfc_coefficients_at_the_horizon(alpha):
+    # at 1 - t2 = 1.1e-16 the coefficients are their t2 -> 1 limits, a / w =
+    # |alpha| z coth(|alpha| rem1) / 2 and b / w = |alpha| / (2 sinh(|alpha|
+    # rem1)), within rounding and the 5.5e-16 that the limit differs by; a,
+    # as a difference of two terms of order 1/(1 - t2), was off by up to 100%
+    rem1, rem2 = np.array([1.0, 0.75, 0.5, 0.1, 1e-3, 1e-6]), 1.1e-16
+    for z, w in itertools.product((-5.0, 2.0, 1e300), (1.0, 0.25)):
+        p = OUBParams(alpha=alpha, gamma=1.0, z=z)
+        table = KernelTable(p, rem1, rem1 - rem2, rem2, w)
+        np.testing.assert_allclose(
+            table.a / w, 0.5 * alpha * z / np.tanh(alpha * rem1), rtol=1e-15)
+        np.testing.assert_allclose(
+            table.b / w, 0.5 * alpha / np.sinh(alpha * rem1), rtol=1e-15)
 
 
 def test_kernel_table_residual_leaves_the_table_unchanged():
