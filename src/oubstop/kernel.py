@@ -7,11 +7,11 @@ restricted to the region above the threshold x2, conditional on X_{t1} = x1:
 
 where m, v are the conditional mean/std of X_{t2}, u = (x2 - m)/v,
 S = 1 - Phi(u) is the normal upper tail and p = density(u). With m affine in
-x1, the coefficient of S is alpha*(z*cosh(a(t2-t1)) - x1*cosh(a(1-t2))) /
-sinh(a(1-t1)), by sinh's addition theorem on 1-t1 = (t2-t1) + (1-t2): a
-closed form, whose terms do not cancel as t2 -> 1. K is evaluated for
-t1 < t2 < 1 only: it is undefined at t2 = 1, and no Riemann row of the
-pricing equations has t2 = t1, so there is no continuity extension there.
+x1, S's coefficient is alpha*(z*cosh(a(t2-t1)) - x1*cosh(a(1-t2))) /
+sinh(a(1-t1)) by sinh's addition theorem, with no cancellation as t2 -> 1.
+It is evaluated for t1 < t2 < 1 only: it is undefined at t2 = 1, and no
+Riemann row of the pricing equations has t2 = t1, so there is no continuity
+extension there.
 
 KernelTable, K over fixed time pairs with quadrature weights folded in, is
 the one form of K that the solvers and pricing evaluate. It takes time gaps
@@ -26,8 +26,9 @@ import numpy as np
 from scipy.special import erfc
 
 from .bridge import OUBParams, _require_canonical, _sinh_factors
-# Not called here; importable from this module for the traced benchmark runs,
-# which wrap these two names in it (perfbench/workloads.py CALL_SITES).
+# Not called here since KernelTable builds the moments from the sinh factors
+# itself; the traced benchmark runs still wrap these two names in this module
+# (perfbench/workloads.py CALL_SITES), so they stay importable from it.
 from .bridge import cond_mean, cond_std  # noqa: F401
 
 __all__ = [
@@ -75,31 +76,34 @@ class KernelTable:
 
         w*K = (a - b*x1) * erfc(p - q*x1) - c * exp(-(p - q*x1)^2),
 
-    in the module's closed form: with h = w |alpha| / (2 sinh(|alpha| rem1)),
-    a = z h cosh(|alpha| gap), b = h cosh(|alpha| rem2) and c = 2 (b / slope)
-    v / sqrt(2 pi). A solver that sweeps x1 and x2 many times builds it once;
-    the gaps and w are not kept. Its arrays are at least 1-d, of one shape.
+    in the module's closed form: with h = (|alpha| / (2 sinh(|alpha| rem1)))
+    w, a = z (h cosh(|alpha| gap)), b = h cosh(|alpha| rem2) and c = 2 (b /
+    slope) v / sqrt(2 pi). A solver that sweeps x1 and x2 many times builds
+    it once; the gaps and w are not kept. The arrays are at least
+    one-dimensional, of one shape.
     """
 
     __slots__ = ("params", "q", "shift", "inv_v", "a", "b", "c")
 
     def __init__(self, params: OUBParams, rem1, gap, rem2, w=1.0):
         rem1, gap, rem2 = np.broadcast_arrays(*np.atleast_1d(rem1, gap, rem2))
-        aa, self.params = abs(params.alpha), params
-        # in place, at most seven table-sized arrays alive at once
+        aa = abs(params.alpha)
+        self.params = params
         sinh_start, sinh_gap, sinh_rem = _sinh_factors(aa, rem1, gap, rem2)
-        b = self.b = np.cosh(aa * rem2)  # until h folds into it
-        # q, shift and v: the moments of bridge.cond_mean and cond_std
+        b = self.b = np.cosh(aa * rem2)  # until h folds in
         q = self.q = sinh_rem / sinh_start  # slope, until inv_v folds into it
-        self.shift = np.multiply(params.z, sinh_gap) / sinh_start
-        h = np.divide(0.5 * aa * w, sinh_start, out=sinh_start)
+        self.shift = params.z * sinh_gap / sinh_start
         v = np.multiply(params.gamma ** 2 / aa, q, out=sinh_rem)
         v *= sinh_gap
         self.inv_v = _INV_SQRT2 / np.sqrt(v, out=v)
+        # |alpha| / (2 sinh_start) lies in [6.9e-302, 1 / (2 rem1)] at |alpha|
+        # <= 700: formed first, and z last, no factor leaves the float range
+        h = np.divide(0.5 * aa, sinh_start, out=sinh_start)
+        h *= w
         b *= h
-        h *= params.z  # z h, for a
         a = self.a = np.cosh(np.multiply(aa, gap, out=sinh_gap), out=sinh_gap)
         a *= h
+        a *= params.z
         c = self.c = np.divide(b, q, out=h)
         c *= 2.0 * _INV_SQRT_2PI
         c *= v

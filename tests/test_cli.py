@@ -566,8 +566,8 @@ def test_extreme_scales_run_without_overflow_warnings(argv, capsys):
     # overflows to inf, where exp(-inf) = 0 is the exact term: no numpy
     # warning, and at z = 1e90 every node is z (a warned far pin at -1e90).
     # At z = 1e306 the table's erfc coefficient z |alpha| cosh(|alpha| gap)
-    # / (2 sinh(|alpha| rem1)) is finite; as z / (2 sinh(|alpha| rem2))
-    # less a cancelling term it overflowed and both solvers failed
+    # / (2 sinh(|alpha| rem1)) is finite, with no difference of terms of
+    # order z / sinh(|alpha| rem2) to overflow
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run_cli(*argv) == 0

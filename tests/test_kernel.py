@@ -143,9 +143,9 @@ def test_kernel_broadcasts(std_params):
 
 
 def _reference_table(params, rem1, gap, rem2, w=1.0):
-    """KernelTable's arrays in the closed form of its docstring, h = w |alpha|
-    / (2 sinh(|alpha| rem1)), as written before it computed them in place:
-    one fresh array per operation."""
+    """KernelTable's arrays in the closed form of its docstring, h = (|alpha|
+    / (2 sinh(|alpha| rem1))) w, as written before it computed them in
+    place: one fresh array per operation."""
     rem1, gap, rem2 = np.atleast_1d(np.asarray(rem1, dtype=float),
                                     np.asarray(gap, dtype=float),
                                     np.asarray(rem2, dtype=float))
@@ -156,10 +156,10 @@ def _reference_table(params, rem1, gap, rem2, w=1.0):
     shift = params.z * sinh_gap / sinh_start
     v = np.sqrt(params.gamma ** 2 / aa * slope * sinh_gap)
     inv_v = 1.0 / math.sqrt(2.0) / v
-    h = 0.5 * aa * w / sinh_start
+    h = 0.5 * aa / sinh_start * w
     b = np.cosh(aa * rem2) * h
     return dict(q=slope * inv_v, shift=shift, inv_v=inv_v,
-                a=params.z * h * np.cosh(aa * gap), b=b,
+                a=np.cosh(aa * gap) * h * params.z, b=b,
                 c=2.0 * (1.0 / math.sqrt(2.0 * math.pi)) * (b / slope) * v)
 
 
@@ -223,8 +223,8 @@ def test_kernel_table_builds_at_collocation_gaps():
 def test_kernel_table_erfc_coefficients_at_the_horizon(alpha):
     # at 1 - t2 = 1.1e-16 the coefficients are their t2 -> 1 limits, a / w =
     # |alpha| z coth(|alpha| rem1) / 2 and b / w = |alpha| / (2 sinh(|alpha|
-    # rem1)), within rounding and the 5.5e-16 that the limit differs by; a,
-    # as a difference of two terms of order 1/(1 - t2), was off by up to 100%
+    # rem1)), within rounding and the 5.5e-16 that the limit differs by: no
+    # difference of two terms of order 1/(1 - t2) enters a
     rem1, rem2 = np.array([1.0, 0.75, 0.5, 0.1, 1e-3, 1e-6]), 1.1e-16
     for z, w in itertools.product((-5.0, 2.0, 1e300), (1.0, 0.25)):
         p = OUBParams(alpha=alpha, gamma=1.0, z=z)
@@ -233,6 +233,23 @@ def test_kernel_table_erfc_coefficients_at_the_horizon(alpha):
             table.a / w, 0.5 * alpha * z / np.tanh(alpha * rem1), rtol=1e-15)
         np.testing.assert_allclose(
             table.b / w, 0.5 * alpha / np.sinh(alpha * rem1), rtol=1e-15)
+
+
+def test_kernel_table_erfc_coefficients_at_large_alpha_and_small_z():
+    # at alpha 700 and t1 = 0, 1 / sinh(|alpha| rem1) is about 2e-304, and
+    # z = 1e-100 times it leaves the float range; a multiplies z in last
+    # and keeps its digits. The references are 60-digit values from
+    # these float inputs; gamma enters neither a nor b. a's tolerance is
+    # the rounding of 700 gap, which cosh(700 gap) amplifies 700-fold
+    p = OUBParams(alpha=700.0, gamma=1.0, z=1e-100)
+    rem2 = np.array([0.25, 0.002, 1e-6])
+    table = KernelTable(p, 1.0, 1.0 - rem2, rem2, 0.002)
+    np.testing.assert_allclose(table.a, [6.9753131070725709e-177,
+                                         1.7261787475912433e-101,
+                                         6.9951017145997628e-101], rtol=1e-13)
+    np.testing.assert_allclose(table.b, [6.9262002038929032e-229,
+                                         2.969002840614389e-304,
+                                         1.3803550543132872e-304], rtol=1e-15)
 
 
 def test_kernel_table_residual_leaves_the_table_unchanged():

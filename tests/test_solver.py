@@ -266,14 +266,14 @@ def test_backward_rows_per_node(n, rows_per_node):
 def test_solve_boundary_falls_back_to_picard():
     # at a far pin h can stay just below zero at a node, its nearest root
     # far outside the window; the production boundary is then Picard's.
-    # Here the root search fails at node 44 at the root tolerance 1e-12,
+    # Here the root search fails at node 45 at the root tolerance 1e-12,
     # and at every tolerance from 1e-13 to 1e-8 (at node 44, 45, 47 or 49:
     # which node fails moves with rounding); at (1, 1, -5), N=500, it fails
     # at 1e-11, 1e-9 and 1e-8 but not at 1e-12, so which solver answers
     # there hangs on the tolerance
     p = OUBParams(alpha=1.0, gamma=0.5, z=-5.0)
     cfg = SolverConfig(n=200)
-    with pytest.raises(ConvergenceError, match="no root at node 44: h keeps"):
+    with pytest.raises(ConvergenceError, match="no root at node 45: h keeps"):
         backward_solve(p, cfg)
     sol = solve_boundary(p, cfg).canonical
     assert sol.method == "picard"
