@@ -112,9 +112,9 @@ class CanonicalReduction:
 # about 710.5 (1 - t1 = 1 at t1 = 0, and 1 - t2 nears 1 at the first node of a
 # fine mesh); 700 leaves a margin.
 _MAX_ALPHA = 700.0
-# Smallest canonical gamma*sqrt(T) accepted. The solvers scale with gamma
-# down to about 1e-151; below, the kernel's variance is subnormal, and from
-# 2^-505 (about 9.5e-153) backward induction fails. 1e-100 leaves a margin.
+# Smallest canonical gamma*sqrt(T) accepted. At N = 500 backward induction
+# fails from 2^-506 (4.8e-153), where the kernel's variance turns subnormal,
+# at |alpha| = 1, and from 2^-499 (6.1e-151) at 700. 1e-100 leaves a margin.
 _MIN_GAMMA = 1e-100
 
 
@@ -183,6 +183,16 @@ def _sinh_factors(alpha: float, rem1, gap, rem2):
     return np.sinh(aa * rem1), np.sinh(aa * gap), np.sinh(aa * rem2)
 
 
+def _transition_law(params: OUBParams, s_start, s_gap, s_rem):
+    """(slope, shift, var) of X_t2 given X_t1 from the sinh factors,
+    unchecked: the one copy. Each ratio over s_start comes first, so no
+    factor leaves the float range at accepted params; 0, z, 0 at t2 = 1."""
+    ratio = s_gap / s_start
+    var = s_rem * ratio
+    var *= params.gamma ** 2 / abs(params.alpha)
+    return s_rem / s_start, params.z * ratio, var
+
+
 def _transition_factors(caller: str, params: OUBParams, t1, t2):
     """X_t2 given X_t1 = x is N(slope*x + shift, var) for canonical times
     0 <= t1 <= t2 <= 1, t1 < 1: (slope, shift, var), or ValueError."""
@@ -190,11 +200,8 @@ def _transition_factors(caller: str, params: OUBParams, t1, t2):
     t1, t2 = np.asarray(t1, dtype=float), np.asarray(t2, dtype=float)
     if not ((0.0 <= t1) & (t1 < 1.0) & (t1 <= t2) & (t2 <= 1.0)).all():
         raise ValueError(f"{caller} requires 0 <= t1 <= t2 <= 1, t1 < 1")
-    den, s_gap, s_rem = _sinh_factors(params.alpha, 1.0 - t1, t2 - t1,
-                                      1.0 - t2)
-    var = params.gamma ** 2 / abs(params.alpha) * s_rem * s_gap / den
-    # each weight over den on its own: exactly 0 and 1 at t2 = 1, so z exactly
-    return s_rem / den, params.z * (s_gap / den), var
+    return _transition_law(params, *_sinh_factors(
+        params.alpha, 1.0 - t1, t2 - t1, 1.0 - t2))
 
 
 def cond_mean(params: OUBParams, t1, x1, t2):

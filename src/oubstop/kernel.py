@@ -25,10 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .bridge import OUBParams, _require_canonical, _sinh_factors
-# Not called here since KernelTable builds the moments from the sinh factors
-# itself; the traced benchmark runs still wrap these two names in this module
-# (perfbench/workloads.py CALL_SITES), so they stay importable from it.
+from .bridge import (OUBParams, _require_canonical, _sinh_factors,
+                     _transition_law)
+# Not called here; the traced benchmark runs wrap these two names in this
+# module (perfbench/workloads.py CALL_SITES), so they stay importable from it.
 from .bridge import cond_mean, cond_std  # noqa: F401
 
 __all__ = [
@@ -89,25 +89,22 @@ class KernelTable:
         rem1, gap, rem2 = np.broadcast_arrays(*np.atleast_1d(rem1, gap, rem2))
         aa = abs(params.alpha)
         self.params = params
-        sinh_start, sinh_gap, sinh_rem = _sinh_factors(aa, rem1, gap, rem2)
-        b = self.b = np.cosh(aa * rem2)  # until h folds in
-        q = self.q = sinh_rem / sinh_start  # slope, until inv_v folds into it
-        self.shift = params.z * sinh_gap / sinh_start
-        v = np.multiply(params.gamma ** 2 / aa, q, out=sinh_rem)
-        v *= sinh_gap
+        s_start, s_gap, s_rem = _sinh_factors(aa, rem1, gap, rem2)
+        self.q, self.shift, v = _transition_law(params, s_start, s_gap, s_rem)
         self.inv_v = _INV_SQRT2 / np.sqrt(v, out=v)
-        # |alpha| / (2 sinh_start) lies in [6.9e-302, 1 / (2 rem1)] at |alpha|
-        # <= 700: formed first, and z last, no factor leaves the float range
-        h = np.divide(0.5 * aa, sinh_start, out=sinh_start)
+        # |alpha| / (2 s_start) lies in [6.9e-302, 1 / (2 rem1)] at |alpha| <=
+        # 700: formed first, and z last, no factor leaves the float range
+        h = np.divide(0.5 * aa, s_start, out=s_start)
         h *= w
+        b = self.b = np.cosh(np.multiply(aa, rem2, out=s_rem), out=s_rem)
         b *= h
-        a = self.a = np.cosh(np.multiply(aa, gap, out=sinh_gap), out=sinh_gap)
+        a = self.a = np.cosh(np.multiply(aa, gap, out=s_gap), out=s_gap)
         a *= h
         a *= params.z
-        c = self.c = np.divide(b, q, out=h)
+        c = self.c = np.divide(b, self.q, out=h)
         c *= 2.0 * _INV_SQRT_2PI
         c *= v
-        q *= self.inv_v
+        self.q *= self.inv_v  # q was the slope
 
     def evaluate(self, x1, x2, _work=None) -> np.ndarray:
         """w*K at (x1, x2), broadcast against the table's time pairs.

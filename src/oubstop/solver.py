@@ -458,11 +458,12 @@ def solve_boundary(params: OUBParams,
     """
     red = reduce_to_canonical(params)
     try:
-        sol = backward_solve(red.canonical, cfg)
-    except ConvergenceError as backward_err:
-        try:
-            sol = picard_solve(red.canonical, cfg)
-        except ConvergenceError as picard_err:
-            raise ConvergenceError(f"{backward_err}; then {picard_err}",
-                                   picard_err.solution) from backward_err
-    return SolvedBoundary(reduction=red, canonical=sol)
+        return SolvedBoundary(red, backward_solve(red.canonical, cfg))
+    except ConvergenceError as err:
+        # its traceback would keep backward_solve's row block through Picard
+        backward_err = err.with_traceback(None)
+    try:
+        return SolvedBoundary(red, picard_solve(red.canonical, cfg))
+    except ConvergenceError as picard_err:
+        raise ConvergenceError(f"{backward_err}; then {picard_err}",
+                               picard_err.solution) from backward_err

@@ -148,6 +148,17 @@ def test_cond_std_spot_value():
                                                   abs=1e-14)
 
 
+@pytest.mark.parametrize("alpha,want", [(1e-300, 1e-100 * math.sqrt(0.25)),
+                                        (700.0, 1e-100 / math.sqrt(1400.0))])
+def test_cond_std_at_the_slope_extremes(alpha, want):
+    # the variance sinh(alpha/2)^2 / sinh(alpha) * gamma^2/alpha over [0, 0.5]
+    # is gamma^2/4 as alpha -> 0 and gamma^2/1400 at alpha = 700 (to within
+    # e^-700); with each ratio over sinh(alpha) formed before any product,
+    # no factor underflows at gamma 1e-100 and tiny alpha
+    p = OUBParams(alpha=alpha, gamma=1e-100, z=0.0)
+    assert cond_std(p, 0.0, 0.5) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
 def test_cond_moments_alpha_parity():
     pp = OUBParams(alpha=2.0, gamma=1.0, z=-1.0)
     pm = OUBParams(alpha=-2.0, gamma=1.0, z=-1.0)

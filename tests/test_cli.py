@@ -560,14 +560,25 @@ _TINY = ("--gamma", "1e-100", "--n", "60")
 @pytest.mark.parametrize("argv", [
     ("solve", "--z", "1e90", *_TINY), ("solve", "--z", "-1e90", *_TINY),
     ("verify", "--z", "1e90", "--paths", "2000", *_TINY),
-    ("solve", "--z=1e306"), ("value", "--z=1e306", "--t", "0.5", "--x", "0")])
+    ("solve", "--z=1e306"), ("value", "--z=1e306", "--t", "0.5", "--x", "0"),
+    ("solve", "--alpha", "700", "--gamma", "1e-9"),
+    ("solve", "--alpha", "700", "--gamma", "1e-100", "--z", "1e-100",
+     "--n", "60"),
+    ("solve", "--alpha", "700", "--z", "1e5"),
+    ("verify", "--alpha", "1e-300", "--gamma", "1e-100", "--n", "60",
+     "--paths", "2000")])
 def test_extreme_scales_run_without_overflow_warnings(argv, capsys):
     # at gamma 1e-100 and |z| 1e90 the kernel's squared erfc argument
     # overflows to inf, where exp(-inf) = 0 is the exact term: no numpy
     # warning, and at z = 1e90 every node is z (a warned far pin at -1e90).
     # At z = 1e306 the table's erfc coefficient z |alpha| cosh(|alpha| gap)
     # / (2 sinh(|alpha| rem1)) is finite, with no difference of terms of
-    # order z / sinh(|alpha| rem2) to overflow
+    # order z / sinh(|alpha| rem2) to overflow. The law's slope, shift and
+    # variance form each ratio over sinh(|alpha| rem1) before any product,
+    # so at alpha 700 the variance (small gamma) and the shift (z 1e5) stay
+    # in range, the boundary at z 1e5 is at or above z as V >= E[X_1] = z,
+    # and at alpha 1e-300, gamma 1e-100 the Monte Carlo steps keep their
+    # variance and verify passes
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run_cli(*argv) == 0
@@ -576,6 +587,10 @@ def test_extreme_scales_run_without_overflow_warnings(argv, capsys):
         assert len(rows) == 61 and all(float(b) == 1e90 for _, b in rows)
     elif argv[1] == "--z=1e306":
         assert float(rows[-1][-1]) == 1e306
+    elif argv[-2:] == ("--z", "1e5"):
+        assert rows and all(float(b) >= 1e5 for _, b in rows)
+    elif argv[0] == "verify":
+        assert rows and all(r[-1] == "pass" for r in rows)
 
 
 @pytest.mark.parametrize("paths", [3, 4, 5])

@@ -144,17 +144,19 @@ def test_kernel_broadcasts(std_params):
 
 def _reference_table(params, rem1, gap, rem2, w=1.0):
     """KernelTable's arrays in the closed form of its docstring, h = (|alpha|
-    / (2 sinh(|alpha| rem1))) w, as written before it computed them in
-    place: one fresh array per operation."""
+    / (2 sinh(|alpha| rem1))) w, and the bridge law's order (each ratio over
+    sinh(|alpha| rem1) before any product), as written before they were
+    computed in place: one fresh array per operation."""
     rem1, gap, rem2 = np.atleast_1d(np.asarray(rem1, dtype=float),
                                     np.asarray(gap, dtype=float),
                                     np.asarray(rem2, dtype=float))
     aa = abs(params.alpha)
     sinh_start = np.sinh(aa * rem1)
-    sinh_gap = np.sinh(aa * gap)
-    slope = np.sinh(aa * rem2) / sinh_start
-    shift = params.z * sinh_gap / sinh_start
-    v = np.sqrt(params.gamma ** 2 / aa * slope * sinh_gap)
+    sinh_rem = np.sinh(aa * rem2)
+    ratio = np.sinh(aa * gap) / sinh_start
+    slope = sinh_rem / sinh_start
+    shift = params.z * ratio
+    v = np.sqrt(sinh_rem * ratio * (params.gamma ** 2 / aa))
     inv_v = 1.0 / math.sqrt(2.0) / v
     h = 0.5 * aa / sinh_start * w
     b = np.cosh(aa * rem2) * h
