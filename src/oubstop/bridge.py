@@ -184,13 +184,13 @@ def _sinh_factors(alpha: float, rem1, gap, rem2):
 
 
 def _transition_law(params: OUBParams, s_start, s_gap, s_rem):
-    """(slope, shift, var) of X_t2 given X_t1 from the sinh factors,
-    unchecked: the one copy. Each ratio over s_start comes first, so no
-    factor leaves the float range at accepted params; 0, z, 0 at t2 = 1."""
-    ratio = s_gap / s_start
-    var = s_rem * ratio
+    """(slope, shift, var) of X_t2 given X_t1 from the sinh factors, the one
+    copy, unchecked; 0, z, 0 at t2 = 1. Ratios over s_start come first, var's
+    of the larger factor (>= e^-350 at |alpha| <= 700), so none underflows."""
+    var = np.maximum(s_gap, s_rem) / s_start
+    var *= np.minimum(s_gap, s_rem)
     var *= params.gamma ** 2 / abs(params.alpha)
-    return s_rem / s_start, params.z * ratio, var
+    return s_rem / s_start, params.z * (s_gap / s_start), var
 
 
 def _transition_factors(caller: str, params: OUBParams, t1, t2):

@@ -27,8 +27,7 @@ from scipy.special import erfc
 
 from .bridge import (OUBParams, _require_canonical, _sinh_factors,
                      _transition_law)
-# Not called here; the traced benchmark runs wrap these two names in this
-# module (perfbench/workloads.py CALL_SITES), so they stay importable from it.
+# Not called here: importable for perfbench/workloads.py CALL_SITES to wrap.
 from .bridge import cond_mean, cond_std  # noqa: F401
 
 __all__ = [

@@ -22,6 +22,7 @@ unknowns are nodes 0..N-2.
 from __future__ import annotations
 
 import math
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -458,12 +459,12 @@ def solve_boundary(params: OUBParams,
     """
     red = reduce_to_canonical(params)
     try:
-        return SolvedBoundary(red, backward_solve(red.canonical, cfg))
-    except ConvergenceError as err:
-        # its traceback would keep backward_solve's row block through Picard
-        backward_err = err.with_traceback(None)
-    try:
-        return SolvedBoundary(red, picard_solve(red.canonical, cfg))
-    except ConvergenceError as picard_err:
-        raise ConvergenceError(f"{backward_err}; then {picard_err}",
-                               picard_err.solution) from backward_err
+        sol = backward_solve(red.canonical, cfg)
+    except ConvergenceError as backward_err:
+        traceback.clear_frames(backward_err.__traceback__)  # frees row blocks
+        try:
+            sol = picard_solve(red.canonical, cfg)
+        except ConvergenceError as picard_err:
+            raise ConvergenceError(f"{backward_err}; then {picard_err}",
+                                   picard_err.solution) from backward_err
+    return SolvedBoundary(reduction=red, canonical=sol)

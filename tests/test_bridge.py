@@ -148,15 +148,18 @@ def test_cond_std_spot_value():
                                                   abs=1e-14)
 
 
-@pytest.mark.parametrize("alpha,want", [(1e-300, 1e-100 * math.sqrt(0.25)),
-                                        (700.0, 1e-100 / math.sqrt(1400.0))])
-def test_cond_std_at_the_slope_extremes(alpha, want):
-    # the variance sinh(alpha/2)^2 / sinh(alpha) * gamma^2/alpha over [0, 0.5]
-    # is gamma^2/4 as alpha -> 0 and gamma^2/1400 at alpha = 700 (to within
-    # e^-700); with each ratio over sinh(alpha) formed before any product,
-    # no factor underflows at gamma 1e-100 and tiny alpha
+@pytest.mark.parametrize("alpha,t2,want", [
+    (1e-300, 0.5, 1e-100 * math.sqrt(0.25)),
+    (700.0, 0.5, 1e-100 / math.sqrt(1400.0)),
+    (700.0, 1e-25, 1e-100 * math.sqrt(1e-25))])
+def test_cond_std_at_the_slope_extremes(alpha, t2, want):
+    # the variance sinh(alpha(1-t2)) sinh(alpha t2) / sinh(alpha) * gamma^2/alpha
+    # over [0, t2] is gamma^2/4 at t2 = 0.5 as alpha -> 0, gamma^2/1400 there
+    # at alpha = 700 and gamma^2 t2 at alpha = 700, t2 = 1e-25 (each to within
+    # rounding); with the larger sinh over sinh(alpha) formed before any
+    # product, nothing underflows at gamma 1e-100, tiny alpha or tiny gaps
     p = OUBParams(alpha=alpha, gamma=1e-100, z=0.0)
-    assert cond_std(p, 0.0, 0.5) == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert cond_std(p, 0.0, t2) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_cond_moments_alpha_parity():

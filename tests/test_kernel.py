@@ -145,18 +145,20 @@ def test_kernel_broadcasts(std_params):
 def _reference_table(params, rem1, gap, rem2, w=1.0):
     """KernelTable's arrays in the closed form of its docstring, h = (|alpha|
     / (2 sinh(|alpha| rem1))) w, and the bridge law's order (each ratio over
-    sinh(|alpha| rem1) before any product), as written before they were
-    computed in place: one fresh array per operation."""
+    sinh(|alpha| rem1) before any product, the variance's over the larger
+    numerator), as written before they were computed in place: one fresh
+    array per operation."""
     rem1, gap, rem2 = np.atleast_1d(np.asarray(rem1, dtype=float),
                                     np.asarray(gap, dtype=float),
                                     np.asarray(rem2, dtype=float))
     aa = abs(params.alpha)
     sinh_start = np.sinh(aa * rem1)
     sinh_rem = np.sinh(aa * rem2)
-    ratio = np.sinh(aa * gap) / sinh_start
+    sinh_gap = np.sinh(aa * gap)
     slope = sinh_rem / sinh_start
-    shift = params.z * ratio
-    v = np.sqrt(sinh_rem * ratio * (params.gamma ** 2 / aa))
+    shift = sinh_gap / sinh_start * params.z
+    v = np.sqrt(np.maximum(sinh_gap, sinh_rem) / sinh_start
+                * np.minimum(sinh_gap, sinh_rem) * (params.gamma ** 2 / aa))
     inv_v = 1.0 / math.sqrt(2.0) / v
     h = 0.5 * aa / sinh_start * w
     b = np.cosh(aa * rem2) * h
@@ -219,6 +221,19 @@ def test_kernel_table_builds_at_collocation_gaps():
             got = getattr(table, name)
             assert got.shape == (n, 16 * n)
             assert np.isfinite(got).all()
+
+
+def test_kernel_at_a_tiny_gap_next_to_t1_zero_at_alpha_700():
+    # sinh(700 * 1e-25) / sinh(700) is 0 in floats; the variance divides the
+    # larger factor, sinh(700 (1 - 1e-25)), by sinh(700) first and stays
+    # 1e-25 * gamma^2, so the kernel is finite and raises no warning
+    p = OUBParams(alpha=700.0, gamma=1.0, z=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_table_is_reference(p, 1.0, 1e-25, 1.0 - 1e-25, 1.0)
+        k = drift_kernel(p, 0.0, np.array([0.0, -1.0]), 1e-25,
+                         np.array([0.0, 1e-13]))
+    assert np.isfinite(k).all()
 
 
 @pytest.mark.parametrize("alpha", (1.0, 5.0))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import traceback
 import tracemalloc
 import warnings
 
@@ -409,6 +410,13 @@ def test_solve_boundary_failure_keeps_both_errors():
     assert str(picard.value) in str(err.value)
     assert isinstance(err.value.__cause__, ConvergenceError)
     assert err.value.__cause__.solution.method == "backward"
+    # the cause still says where backward induction raised, while its
+    # frames' locals (the row block, the work arrays) are already freed
+    tb = err.value.__cause__.__traceback__
+    assert traceback.extract_tb(tb)[-1].name == "backward_solve"
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    assert not tb.tb_frame.f_locals
     assert err.value.solution.method == "picard"
     assert np.array_equal(err.value.solution.beta, picard.value.solution.beta)
 
