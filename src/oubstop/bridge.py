@@ -148,13 +148,8 @@ def reduce_to_canonical(params: OUBParams) -> CanonicalReduction:
     if not math.isfinite(z):
         raise ValueError(f"the canonical pin z - theta overflows, got "
                          f"z = {params.z!r} and theta = {params.theta!r}")
-    canonical = OUBParams(
-        alpha=alpha,
-        gamma=gamma,
-        z=z,
-        theta=0.0,
-        horizon=1.0,
-    )
+    canonical = OUBParams(alpha=alpha, gamma=gamma, z=z, theta=0.0,
+                          horizon=1.0)
     return CanonicalReduction(original=params, canonical=canonical)
 
 
@@ -167,8 +162,7 @@ def _require_canonical(params: OUBParams) -> None:
 def drift(params: OUBParams, t, x):
     """Bridge drift mu(t, x) for canonical params; scalars or arrays."""
     _require_canonical(params)
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
+    t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
     if not ((0.0 <= t) & (t < 1.0)).all():
         raise ValueError("drift requires 0 <= t < horizon")
     aa = abs(params.alpha)

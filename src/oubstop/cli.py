@@ -24,16 +24,9 @@ from .bridge import OUBParams, reduce_to_canonical
 from .kernel import KernelQuery, drift_kernel
 from .mc import MCConfig, kernel_oracle, perturbation_test
 from .pricing import ValueSurfaceQuery, value
-from .solver import (
-    BoundarySolution,
-    ConvergenceError,
-    SolvedBoundary,
-    SolverConfig,
-    TimeGrid,
-    _SHEPP,
-    _drift_sign_bound,
-    solve_boundary,
-)
+from .solver import (BoundarySolution, ConvergenceError, SolvedBoundary,
+                     SolverConfig, TimeGrid, _SHEPP, _drift_sign_bound,
+                     solve_boundary)
 from .transform import make_context
 # Not called here (verify takes perturbation_test's baseline, picard_solve is
 # solve_boundary's fallback, boundary_lower_bound needs no transform map),
@@ -337,8 +330,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
         return ("m" if z < 0 else "p") + f"{abs(z):g}" if z else "0"
 
     for z in _FIG_PINS:
-        curves = [solve_beta(a, 1.0, z, base.n)
-                  for a in _FIG1_ALPHAS]
+        curves = [solve_beta(a, 1.0, z, base.n) for a in _FIG1_ALPHAS]
         t = curves[0].nodes
         bb = z + _SHEPP * np.sqrt(1.0 - t)
         _write_columns(
@@ -347,8 +339,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
             str(outdir / f"fig1_z{ztag(z)}.csv"))
 
     for z in _FIG_PINS:
-        curves = [solve_beta(1.0, g, z, base.n)
-                  for g in _FIG2_GAMMAS]
+        curves = [solve_beta(1.0, g, z, base.n) for g in _FIG2_GAMMAS]
         _write_columns(["t"] + [f"gamma_{g:g}" for g in _FIG2_GAMMAS],
                        [curves[0].nodes] + [c.values for c in curves],
                        str(outdir / f"fig2_z{ztag(z)}.csv"))

@@ -13,9 +13,11 @@ It is evaluated for t1 < t2 < 1 only: it is undefined at t2 = 1, and no
 Riemann row of the pricing equations has t2 = t1, so there is no continuity
 extension there.
 
-KernelTable, K over fixed time pairs with quadrature weights folded in, is
-the one form of K that the solvers and pricing evaluate. It takes time gaps
-and checks nothing; drift_kernel, the public entry, checks the times.
+KernelTable is K over fixed time pairs with quadrature weights folded in.
+Its evaluate is the form of K that drift_kernel, the Picard sweep and
+pricing use; its residual restates that formula over one row, for backward
+induction's node equations. It takes time gaps and checks nothing;
+drift_kernel, the public entry, checks the times.
 """
 from __future__ import annotations
 

@@ -3,9 +3,9 @@ coordinates:
 
     V(t, x) = z - integral_t^1 K(t, x, u, beta(u)) du,
 
-discretised by the solver's own right Riemann rule (solver._riemann_rows:
-the solver mesh restricted to (t, 1), the addend ending at u = 1 dropped),
-so that value-matching at the boundary holds by construction of the shared
+discretised by the solvers' own right Riemann rule (solver._Riemann: the
+solver mesh restricted to (t, 1), the addend ending at u = 1 dropped), so
+that value-matching at the boundary holds by construction of the shared
 discretisation; one row serves all the x of a t. In the stopping region
 x >= beta(t) the identity V = x is applied directly instead of quadrature.
 """
@@ -17,7 +17,7 @@ import numpy as np
 
 from .bridge import OUBParams, _require_canonical
 from .kernel import drift_kernel
-from .solver import BoundarySolution, _BLOCK_ENTRIES, _riemann_rows, boundary_eval
+from .solver import BoundarySolution, _Riemann, boundary_eval
 
 __all__ = ["ValueSurfaceQuery", "value"]
 
@@ -48,8 +48,8 @@ def value(params: OUBParams, sol: BoundarySolution, q: ValueSurfaceQuery,
     v = np.array(q.x, dtype=float)  # V = x where clamped
     run = v < boundary_eval(sol, q.t) if clamp else np.full(v.shape, True)
     if run.any():  # in the dropped terminal strip the row is empty: V = z
-        _, j, table = _riemann_rows(params, sol.grid.nodes, q.t)
-        beta, step = sol.beta[j], max(1, _BLOCK_ENTRIES // max(j.size, 1))
+        table, x2, step = _Riemann(params, sol.grid.nodes).row(q.t)
+        beta = x2(sol.beta)
         # at x <= lo, lo <= 0, every erfc argument is >= 28 (the factor
         # covers rounding) and each term exactly 0: x is raised to lo
         p = (beta - table.shift) * table.inv_v

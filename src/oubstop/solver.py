@@ -7,14 +7,16 @@ The boundary beta solves the nonlinear Volterra equation
 discretised on a partition 0 = t_0 < ... < t_N = 1 by a right Riemann sum.
 The addend with right endpoint t_N = 1 is dropped: the kernel is undefined
 there and the omitted piece is an integrable tail that vanishes as t_{N-1}
-approaches 1. Two solution schemes are provided:
+approaches 1. _Riemann is that rule, the one that the two solution schemes
+below and pricing.value read.
 
 * Backward induction, the production path: the system is triangular, so
   one scalar root per node, from beta(1) = z back to t_0, solves it exactly.
 * Picard iteration, the paper's scheme: the whole boundary, from the
-  drift-sign bound, is updated at once until the sup-norm change falls
-  below the tolerance. The cross-check, and the production path where
-  backward induction finds no root near a node (see backward_solve).
+  drift-sign bound, is updated at once, Anderson-mixed (_anderson), until
+  the sup-norm change falls below the tolerance. The cross-check, and the
+  production path where backward induction finds no root near a node (see
+  backward_solve).
 
 With the dropped addend both schemes force beta(t_{N-1}) = z; the genuine
 unknowns are nodes 0..N-2.
@@ -27,12 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bridge import (
-    CanonicalReduction,
-    OUBParams,
-    _require_canonical,
-    reduce_to_canonical,
-)
+from .bridge import (CanonicalReduction, OUBParams, _require_canonical,
+                     reduce_to_canonical)
 from .kernel import KernelTable, drift_kernel
 
 __all__ = [
@@ -157,121 +155,106 @@ def boundary_eval(sol: BoundarySolution, t):
     return np.interp(t, sol.grid.nodes, sol.beta)
 
 
-def _riemann_rows(params: OUBParams, nodes: np.ndarray, starts):
-    """The right Riemann sum of integral_s^1 K(s, ., u, .) du on the grid
-    nodes, for each start s in starts (0 <= s < 1), as row offsets head,
-    flat array j and the KernelTable of the time pairs (s, t_j) and w.
-
-    Row r sums w * K(s, ., t_j, .) over the right endpoints t_j in
-    (s, t_{N-1}], where w, the smaller of t_j - t_{j-1} and t_j - s, is the
-    width back to the previous endpoint or to s; its entries are
-    head[r]..head[r+1]-1 (the last row's run to the end). The table takes
-    the gaps 1 - s, t_j - s and 1 - t_j from the mesh, unchecked. The addend
-    ending at t_N = 1 is dropped: the kernel is undefined there. A start at
-    or past t_{N-1} has an empty row, so np.add.reduceat, which returns the
-    entry at the offset for an empty run, needs starts before t_{N-1}.
-    The solvers take their quadrature and kernel table from here in the
-    blocks of _row_blocks, pricing.value once per call (one t).
-    """
-    starts = np.atleast_1d(np.asarray(starts, dtype=float))
-    first = np.searchsorted(nodes, starts, side="right")
-    counts = np.maximum(nodes.size - 1 - first, 0)  # endpoints first..N-1
-    head = np.cumsum(counts) - counts
-    j = np.arange(counts.sum())
-    j += np.repeat(first - head, counts)
-    rem1, rem2 = np.repeat(starts, counts), nodes[j]  # s, t_j; then 1 - both
-    gap = rem2 - rem1
-    w = np.minimum(np.diff(nodes)[j - 1], gap)
-    np.subtract(1.0, rem1, out=rem1)
-    np.subtract(1.0, rem2, out=rem2)
-    table = KernelTable(params, rem1, gap, rem2, w)
-    return head, j, table
-
-
-# Table entries per block of rows (_row_blocks): a budget, not a row count,
-# bounds a block's arrays at any N (64 rows at N = 2000 raised peak by 1/7).
+# Table entries per block of rows or per evaluation of a row: a budget, not
+# a row count, bounds a block at any N (64 rows at N = 2000 raised peak 1/7).
 _BLOCK_ENTRIES = 2 ** 15
 
 
-def _row_blocks(params: OUBParams, nodes: np.ndarray):
-    """The Riemann rows of the starts t_0..t_{N-2} in blocks of consecutive
-    rows, of at most _BLOCK_ENTRIES entries or one row, from the last back:
-    pairs (lo, _riemann_rows of t_lo..t_{hi-1}), generated one at a time."""
-    n, hi = nodes.size - 1, nodes.size - 2
-    while hi > 0:
-        lo = hi - 1  # rows lo-1..hi-1 hold (hi-lo+1)(2n-lo-hi)/2 entries
-        while lo and (hi - lo + 1) * (2 * n - lo - hi) <= 2 * _BLOCK_ENTRIES:
-            lo -= 1
-        yield lo, _riemann_rows(params, nodes, nodes[lo:hi])
-        hi = lo
+@dataclass(frozen=True, eq=False)
+class _Riemann:
+    """The right Riemann sum of integral_s^1 K(s, ., u, .) du on the nodes:
+    row s sums w * K(s, ., t_j, .) over the endpoints t_j in (s, t_{N-1}],
+    w the smaller of t_j - t_{j-1} and t_j - s. The addend ending at t_N = 1
+    is dropped (K is undefined there), so a start at or past t_{N-1} has an
+    empty row. The rule keeps no rows: a solve holds those it builds."""
+
+    params: OUBParams
+    nodes: np.ndarray
+
+    def rows(self, starts):
+        """The rows of the starts (0 <= s < 1) as (offsets, table, x2): row
+        r's entries are offsets[r]..offsets[r+1]-1, table their KernelTable
+        (gaps from the mesh, unchecked), and x2(beta, out=None) gathers the
+        node values beta onto their endpoints."""
+        nodes = self.nodes
+        starts = np.atleast_1d(np.asarray(starts, dtype=float))
+        first = np.searchsorted(nodes, starts, side="right")
+        counts = np.maximum(nodes.size - 1 - first, 0)  # endpoints first..N-1
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        j = np.arange(offsets[-1])
+        j += np.repeat(first - offsets[:-1], counts)
+        s, u = np.repeat(starts, counts), nodes[j]
+        gap = u - s
+        w = np.minimum(np.diff(nodes)[j - 1], gap)
+        rem1 = np.subtract(1.0, s, out=s)
+        rem2 = np.subtract(1.0, u, out=u)
+        table = KernelTable(self.params, rem1, gap, rem2, w)
+        return offsets, table, lambda beta, out=None: np.take(beta, j, out=out)
+
+    def row(self, t: float):
+        """The row of t as (table, x2, step): step x1 per kernel evaluation
+        keep it within _BLOCK_ENTRIES entries."""
+        offsets, table, x2 = self.rows(t)
+        return table, x2, max(1, _BLOCK_ENTRIES // max(int(offsets[-1]), 1))
+
+    def blocks(self):
+        """The rows of t_0..t_{N-2} in blocks of consecutive rows, of at most
+        _BLOCK_ENTRIES entries or one row, from the last back: pairs (lo,
+        rows of t_lo..t_{hi-1}), generated one at a time."""
+        n2, hi = 2 * self.nodes.size - 2, self.nodes.size - 2  # n2 = 2N
+        while hi > 0:
+            lo = hi - 1  # rows lo-1..hi-1 hold (hi-lo+1)(n2-lo-hi)/2 entries
+            while lo and (hi - lo + 1) * (n2 - lo - hi) <= 2 * _BLOCK_ENTRIES:
+                lo -= 1
+            yield lo, self.rows(self.nodes[lo:hi])
+            hi = lo
+
+    def sweep(self):
+        """The full-boundary update as a function of beta, which keeps every
+        block (rows nonempty, as np.add.reduceat needs) and two work arrays."""
+        params, blocks = self.params, list(self.blocks())
+        work = np.empty((2, max(rows[0][-1] for _, rows in blocks)))
+
+        def sweep(beta: np.ndarray) -> np.ndarray:
+            new = np.full_like(beta, params.z)
+            for lo, (offsets, table, gather) in blocks:
+                hi = lo + offsets.size - 1
+                x1 = np.repeat(beta[lo:hi], np.diff(offsets))
+                x2, k = work[:, :offsets[-1]]
+                gather(beta, out=x2)
+                drift_kernel(params, None, x1, None, x2, table=table,
+                             _work=(x1, x2, k))
+                new[lo:hi] -= np.add.reduceat(k, offsets[:-1])
+            return new
+
+        return sweep
 
 
-def _picard_sweep(params: OUBParams, blocks, beta: np.ndarray,
-                  work: np.ndarray) -> np.ndarray:
-    """One full-boundary update of the discretised Volterra equation on the
-    row blocks (lo, rows) of _row_blocks. work, two float arrays as long as
-    the longest block, takes a block's beta_j and kernel values."""
-    new = np.full_like(beta, params.z)
-    for lo, (head, j, table) in blocks:
-        x1 = np.repeat(beta[lo:lo + head.size], np.diff(head, append=j.size))
-        x2, k = work[0, :j.size], work[1, :j.size]
-        np.take(beta, j, out=x2)
-        drift_kernel(params, None, x1, None, x2, table=table,
-                     _work=(x1, x2, k))
-        new[lo:lo + head.size] -= np.add.reduceat(k, head)
-    return new
-
-
-# Differences that picard_solve's Anderson mixing keeps (Walker & Ni 2011).
+# Differences that _anderson's mixing keeps (Walker & Ni 2011).
 _MIX_DEPTH = 5
-# Shepp's constant L: near the horizon beta ~ z + L*gamma*sqrt(1 - t).
-_SHEPP = 0.8399
 
 
-def picard_solve(params: OUBParams, cfg: SolverConfig = SolverConfig()) -> BoundarySolution:
-    """Solve the discretised free-boundary equation by Picard iteration,
-    Anderson-mixed.
-
-    Starts from max(z/cosh(alpha(1 - t)), z + _SHEPP*gamma*sqrt(1 - t)), z
-    at t_{N-1} and t_N: the drift-sign bound, below which waiting pays, or
-    Shepp's asymptote where that is higher. Each sweep G maps an iterate x
-    to G(x); the run stops at the first sweep whose change sup|G(x) - x| is
-    below cfg.eps*gamma and returns x, that change being its own residual,
-    final_residual. Otherwise the next iterate is G(x) less a combination of
-    the last _MIX_DEPTH differences of sweep outputs, its coefficients the
-    least-squares fit of G(x) - x by the differences of sweep changes
-    (Anderson mixing). Where a mixed iterate's change is not smaller than
-    the previous one, that iterate and the differences are dropped: G(x)
-    itself is the next iterate, and the differences start afresh from its
-    sweep. iterations counts the sweeps, max_iter caps them. Raises
-    ConvergenceError, with the last iterate swept and its change attached,
-    if max_iter is exhausted, or at the first sweep that gives a non-finite
-    boundary. At N = 500 it takes 10 sweeps at alpha = gamma = 1, z = 0, 30
-    at alpha = 1, gamma = 0.5, z = -5, at most 382 over the 168 grid
-    problems. Its row blocks, kept for every sweep, are 7 arrays over
-    N(N-1)/2 entries (j and the weighted table): 112 MB at N = 2000.
-    """
-    _require_canonical(params)
-    grid = cfg.build_grid()
-    t, z, eps = grid.nodes, params.z, cfg.eps * params.gamma
-    blocks = list(_row_blocks(params, t))
-    work = np.empty((2, max(rows[1].size for _, rows in blocks)))
-    x = np.maximum(_drift_sign_bound(params, t),
-                   z + _SHEPP * params.gamma * np.sqrt(1.0 - t))
-    x[-2:] = z
+def _anderson(sweep, x0: np.ndarray, tol: float, max_iter: int):
+    """Anderson-mixed iteration of sweep G from x0 (Walker & Ni 2011), as
+    (x, sweeps, change): the first x whose change sup|G(x) - x| is below
+    tol, or the last x swept after max_iter sweeps or a non-finite change.
+    Otherwise the next iterate is G(x) less a combination of the last
+    _MIX_DEPTH differences of sweep outputs, its coefficients the
+    least-squares fit of G(x) - x by the differences of sweep changes.
+    Where a mixed iterate's change is not smaller than the previous one,
+    G(x) itself is the next iterate and the differences start afresh."""
+    x = x0
     dg, df = [], []  # differences of sweep outputs and of sweep changes
     last = None  # the previous sweep's (output, change, sup-norm change)
-    for k in range(1, cfg.max_iter + 1):
-        g = _picard_sweep(params, blocks, x, work)
+    for k in range(1, max_iter + 1):
+        g = sweep(x)
         f = g - x
         residual = float(np.max(np.abs(f)))
-        if not eps <= residual < math.inf or k == cfg.max_iter:
+        if not tol <= residual < math.inf or k == max_iter:
             break
         x = g
         if df and not residual < last[2]:  # swept a mixed iterate, no better
-            dg.clear()
-            df.clear()
-            last = None
+            dg, df, last = [], [], None
             continue
         if last is not None:
             dg.append(g - last[0])
@@ -282,6 +265,36 @@ def picard_solve(params: OUBParams, cfg: SolverConfig = SolverConfig()) -> Bound
         if df:
             c = np.linalg.lstsq(np.array(df).T, f, rcond=None)[0]
             x = g - c @ np.array(dg)
+    return x, k, residual
+
+
+# Shepp's constant L: near the horizon beta ~ z + L*gamma*sqrt(1 - t).
+_SHEPP = 0.8399
+
+
+def picard_solve(params: OUBParams, cfg: SolverConfig = SolverConfig()) -> BoundarySolution:
+    """Solve the discretised free-boundary equation by Picard iteration,
+    Anderson-mixed (_anderson), from max(z/cosh(alpha(1 - t)), z +
+    _SHEPP*gamma*sqrt(1 - t)), z at t_{N-1} and t_N: the drift-sign bound,
+    below which waiting pays, or Shepp's asymptote where that is higher.
+
+    Returns the first iterate whose sweep changes it by less than
+    cfg.eps*gamma, that change its final_residual; iterations counts the
+    sweeps, max_iter caps them. Raises ConvergenceError, with the last
+    iterate swept and its change, if max_iter is exhausted or a sweep gives
+    a non-finite boundary. At N = 500 it takes 10 sweeps at alpha = gamma =
+    1, z = 0, 30 at alpha = 1, gamma = 0.5, z = -5, at most 382 over the
+    168 grid problems. Its sweep keeps the row blocks, 7 arrays over
+    N(N-1)/2 entries (j and the weighted table): 112 MB at N = 2000.
+    """
+    _require_canonical(params)
+    grid = cfg.build_grid()
+    t, z, eps = grid.nodes, params.z, cfg.eps * params.gamma
+    x = np.maximum(_drift_sign_bound(params, t),
+                   z + _SHEPP * params.gamma * np.sqrt(1.0 - t))
+    x[-2:] = z
+    x, k, residual = _anderson(_Riemann(params, t).sweep(), x, eps,
+                               cfg.max_iter)
     sol = BoundarySolution(grid=grid, beta=x, iterations=k,
                            final_residual=residual, method="picard")
     if not math.isfinite(residual):
@@ -360,7 +373,7 @@ def backward_solve(params: OUBParams, cfg: SolverConfig = SolverConfig()) -> Bou
     first step is the Newton step by the slope of h that the last node's
     search measured (1 at first), at most the last node's move.
     _MAX_NODE_STEPS caps the steps (kernel rows) per node; iterations
-    counts them. Picard's row blocks (_row_blocks) are built one at a
+    counts them. The rule's row blocks (_Riemann.blocks) are built one at a
     time, from the last, and their nodes solved from the last, each on its
     row of the block's weighted table (KernelTable.residual). Of cfg it
     reads n only. At far pins h can stay just below zero near the
@@ -378,10 +391,10 @@ def backward_solve(params: OUBParams, cfg: SolverConfig = SolverConfig()) -> Bou
     slope = 1.0
     work = np.empty((3, n))
     total, worst = 0, 0.0
-    for low, (head, j, table) in _row_blocks(params, t):
-        head = np.append(head, j.size).tolist()  # row r: head[r]..head[r+1]
-        for i in range(low + len(head) - 2, low - 1, -1):
-            h = table.residual(slice(head[i - low], head[i - low + 1]),
+    for low, (offsets, table, x2) in _Riemann(params, t).blocks():
+        offsets = offsets.tolist()
+        for i in range(low + len(offsets) - 2, low - 1, -1):
+            h = table.residual(slice(offsets[i - low], offsets[i - low + 1]),
                                beta[i + 1:n], z, work)
             width = 2.0 * params.gamma * math.sqrt(tl[i + 1] - tl[i])
             x = b1
@@ -402,7 +415,7 @@ def backward_solve(params: OUBParams, cfg: SolverConfig = SolverConfig()) -> Bou
             beta[i] = b
             step = max(abs(b - b1), 1e-12 * params.gamma)
             b1, b2, b3 = b, b1, b2
-        del j, table, h  # free the block before the next is built
+        del table, x2, h  # free the block before the next is built
 
     return BoundarySolution(grid=grid, beta=beta, iterations=total,
                             final_residual=worst, method="backward")

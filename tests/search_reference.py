@@ -5,8 +5,8 @@ quadratic extrapolation of the three roots after it, takes a Newton step
 by the slope of h carried from the last root, and accepts a root at
 |h| < 1e-12*gamma. This module keeps the search it replaced: each node
 starts at beta_{i+1}, its first step is the last node's move, and a root
-is accepted at |h| < 1e-9*max(1, gamma). Both share the rows
-(solver._row_blocks, KernelTable.residual) and the window
+is accepted at |h| < 1e-9*max(1, gamma). Both share the rows of the
+Riemann rule (solver._Riemann.blocks, KernelTable.residual) and the window
 beta_{i+1} +- 2*gamma*sqrt(t_{i+1} - t_i); tests assert that both find a
 root at every node, or both do not, and that their boundaries give values
 V(0, z) within 1e-6 of each other.
@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from oubstop.solver import _row_blocks
+from oubstop.solver import _Riemann
 
 # oubstop.solver._MAX_NODE_STEPS
 _MAX_NODE_STEPS = 40
@@ -63,10 +63,9 @@ def backward_beta(params, t: np.ndarray):
     beta = np.full(n + 1, z)
     step = params.gamma * math.sqrt(t[n - 1] - t[n - 2])
     work = np.empty((3, n))
-    for low, (head, j, table) in _row_blocks(params, t):
-        ends = np.append(head[1:], j.size)
-        for i in range(low + head.size - 1, low - 1, -1):
-            h = table.residual(slice(head[i - low], ends[i - low]),
+    for low, (offsets, table, _) in _Riemann(params, t).blocks():
+        for i in range(low + offsets.size - 2, low - 1, -1):
+            h = table.residual(slice(offsets[i - low], offsets[i - low + 1]),
                                beta[i + 1:n], z, work)
             width = 2.0 * params.gamma * math.sqrt(t[i + 1] - t[i])
             b, error = _node_root(h, beta[i + 1], step, width, tol)

@@ -718,7 +718,8 @@ def test_convergence_error_names_both_solvers(capsys, one_sweep):
 
 def test_solve_picard_fallback_within_default_sweeps(capsys):
     # at the edge of the documented envelope backward induction falls back
-    # and Picard needs 32 sweeps (540 unmixed from the constant z)
+    # and Picard needs 62 sweeps, as at (1, 0.5, -10), the same canonical
+    # class zeta = -20 (761 unmixed from the constant z)
     assert run_cli("solve", "--alpha", "1", "--gamma", "0.25", "--z",
                    "-5") == 0
     assert "method=picard" in capsys.readouterr().err

@@ -15,8 +15,7 @@ from oubstop import (
     picard_solve,
     value,
 )
-from oubstop import pricing
-from oubstop.solver import _BLOCK_ENTRIES
+from oubstop.solver import _Riemann
 from oubstop.transform import upsilon
 
 from mirror import _boundary_transformed, gain, transformed_value
@@ -35,8 +34,8 @@ def _one_point_value(params, sol, t, x, clamp):
     the reference for value's batched, chunked rows."""
     if clamp and x >= boundary_eval(sol, t):
         return x
-    _, j, table = pricing._riemann_rows(params, sol.grid.nodes, t)
-    k = drift_kernel(params, None, x, None, sol.beta[j], table=table)
+    table, x2, _ = _Riemann(params, sol.grid.nodes).row(t)
+    k = drift_kernel(params, None, x, None, x2(sol.beta), table=table)
     return float(params.z - k.sum())
 
 
@@ -46,9 +45,9 @@ def test_array_value_is_the_one_point_sums_bit_for_bit(std_params,
                                                        std_solution, clamp, t):
     # x on both sides of beta(t) and more of them than one kernel evaluation
     # takes; t = 0.9999 is in the dropped terminal strip (an empty row)
-    row = np.count_nonzero(std_solution.grid.nodes[:-1] > t)
+    *_, step = _Riemann(std_params, std_solution.grid.nodes).row(t)
     b = boundary_eval(std_solution, t)
-    xs = np.linspace(b - 4.0, b + 1.0, _BLOCK_ENTRIES // max(row, 1) + 7)
+    xs = np.linspace(b - 4.0, b + 1.0, step + 7)
     xs[3] = b
     got = value(std_params, std_solution, ValueSurfaceQuery(t=t, x=xs),
                 clamp=clamp)
@@ -62,9 +61,10 @@ def test_array_value_is_the_one_point_sums_bit_for_bit(std_params,
 
 
 def test_value_builds_one_row_per_call(std_params, std_solution, monkeypatch):
+    # the rule builds every row through rows, one or a block at a time
     calls = []
-    rows = pricing._riemann_rows
-    monkeypatch.setattr(pricing, "_riemann_rows",
+    rows = _Riemann.rows
+    monkeypatch.setattr(_Riemann, "rows",
                         lambda *a: calls.append(a) or rows(*a))
     xs = np.linspace(-3.0, 1.0, 500)
     value(std_params, std_solution, ValueSurfaceQuery(t=0.2, x=xs))

@@ -60,6 +60,19 @@ def test_production_modules_hold_nothing_from_transform(name):
     assert held == []
 
 
+def test_pricing_holds_no_private_solver_name_but_the_rule():
+    # pricing reads the solvers' discretisation through the Riemann rule
+    # alone, not through the row format, the block budget or other helpers;
+    # a private name solver only re-exports (bridge's) does not count
+    pricing, solver = oubstop.pricing, oubstop.solver
+    held = sorted(n for n, v in vars(pricing).items()
+                  if n.startswith("_") and not n.startswith("__")
+                  and vars(solver).get(n, pricing) is v
+                  and getattr(v, "__module__", solver.__name__)
+                  == solver.__name__)
+    assert held == ["_Riemann"]
+
+
 def test_config_fields():
     assert [f.name for f in dataclasses.fields(SolverConfig)] \
         == ["n", "eps", "max_iter"]

@@ -24,19 +24,20 @@ from oubstop import (
     value,
 )
 from oubstop import solver
-from oubstop.solver import _picard_sweep, _riemann_rows
+from oubstop.solver import _Riemann
 
 import search_reference
 
 
 def _reference_sweep(params, rows, beta):
     """One Picard sweep as it was written before it reused work arrays:
-    fresh arrays for x1, x2 and the kernel values at every call."""
-    head, j, table = rows
-    x1 = np.repeat(beta[:head.size], np.diff(head, append=j.size))
-    k = drift_kernel(params, None, x1, None, beta[j], table=table)
+    fresh arrays for x1, x2 and the kernel values at every call, on the
+    rows (offsets, table, x2) of _Riemann.rows."""
+    offsets, table, x2 = rows
+    x1 = np.repeat(beta[:offsets.size - 1], np.diff(offsets))
+    k = drift_kernel(params, None, x1, None, x2(beta), table=table)
     new = np.full_like(beta, params.z)
-    new[:head.size] -= np.add.reduceat(k, head)
+    new[:offsets.size - 1] -= np.add.reduceat(k, offsets[:-1])
     return new
 
 
@@ -222,11 +223,14 @@ def test_folded_row_is_the_kernel_row(alpha, gamma, z):
     dt = np.diff(t)
     beta = z + 0.84 * gamma * np.sqrt(1.0 - t)
     beta[-2:] = z
-    head, j, table = _riemann_rows(p, t, t[:-2])
-    ends = np.append(head[1:], j.size)
+    offsets, table, x2 = _Riemann(p, t).rows(t[:-2])
+    gathered = x2(beta)
     work = np.empty((3, n))
     for i in range(n - 1):
-        h = table.residual(slice(head[i], ends[i]), beta[i + 1:n], z, work)
+        # row i's endpoints are the later nodes i+1..N-1, as x2 gathers them
+        row = slice(offsets[i], offsets[i + 1])
+        assert np.array_equal(gathered[row], beta[i + 1:n])
+        h = table.residual(row, beta[i + 1:n], z, work)
         for x in (beta[i], beta[i] - 0.3 * gamma, beta[i] + 0.3 * gamma):
             k = drift_kernel(p, t[i], x, t[i + 1:n], beta[i + 1:n])
             sum_wk = float(np.dot(k, dt[i:n - 1]))
@@ -553,6 +557,12 @@ def test_solve_boundary_method_choice():
         solve_boundary(p, cfg, method="backward")
 
 
+def _block_count(n):
+    """How many blocks the rule splits the N - 1 rows at mesh size n into."""
+    t = SolverConfig(n=n).build_grid().nodes
+    return sum(1 for _ in _Riemann(OUBParams(1.0, 1.0, 0.0), t).blocks())
+
+
 def _backward_outcomes():
     out = []
     for alpha, gamma, z, n in itertools.product(
@@ -571,8 +581,9 @@ def test_backward_block_size_changes_nothing(monkeypatch):
     # holds changes no bit of the boundary, the counts or the errors
     default = _backward_outcomes()
     assert any(msg is not None for *_, msg in default)
-    for entries in (1, 10 ** 9):  # one node per block, one block
+    for entries, count in ((1, 119), (10 ** 9, 1)):  # a node per block, one
         monkeypatch.setattr(solver, "_BLOCK_ENTRIES", entries)
+        assert _block_count(120) == count
         for (b0, k0, r0, m0), (b, k, r, m) in zip(default,
                                                   _backward_outcomes()):
             assert np.array_equal(b, b0)
@@ -602,8 +613,9 @@ def test_picard_block_size_changes_nothing(monkeypatch):
     # holds changes no bit of the boundary, the counts or the errors
     default = _picard_outcomes()
     assert sum(msg is not None for *_, msg in default) == 2
-    for entries in (1, 10 ** 9):  # one row per block, one block
+    for entries, count in ((1, 499), (10 ** 9, 1)):  # a row per block, one
         monkeypatch.setattr(solver, "_BLOCK_ENTRIES", entries)
+        assert _block_count(500) == count
         for (b0, k0, r0, m0), (b, k, r, m) in zip(default,
                                                   _picard_outcomes()):
             assert np.array_equal(b, b0, equal_nan=True)
@@ -639,9 +651,9 @@ def test_operator_sweep_matches_row_by_row(alpha, gamma, z):
     dt = np.diff(t)
     beta = z + 0.84 * gamma * np.sqrt(1.0 - t)
     beta[-1] = z
-    riemann = _riemann_rows(p, t, t[:-2])
-    swept = _picard_sweep(p, [(0, riemann)], beta,
-                          np.empty((2, riemann[1].size)))
+    rule = _Riemann(p, t)
+    offsets, table, gather = rule.rows(t[:-2])
+    swept = rule.sweep()(beta)
     rows = [z - float(np.dot(drift_kernel(p, t[i], beta[i], t[i + 1:n],
                                           beta[i + 1:n]), dt[i:n - 1]))
             for i in range(n - 1)]
@@ -657,10 +669,10 @@ def test_operator_sweep_matches_row_by_row(alpha, gamma, z):
               for i in range(n - 1)]
     i, j = np.triu_indices(n - 1)
     x1, x2 = beta[i], beta[j + 1]
-    tabled = drift_kernel(p, None, x1, None, x2, table=riemann[2])
-    ends = np.append(riemann[0], tabled.size)
+    assert np.array_equal(gather(beta), x2)
+    tabled = drift_kernel(p, None, x1, None, x2, table=table)
     assert priced == [z - float(tabled[a:b].sum())
-                      for a, b in zip(ends[:-1], ends[1:])]
+                      for a, b in zip(offsets[:-1], offsets[1:])]
     assert np.max(np.abs(np.subtract(priced, rows))) <= 1e-14 * (1.0 + abs(z))
 
     # the table path is the weighted kernel itself, not an approximation
@@ -670,15 +682,15 @@ def test_operator_sweep_matches_row_by_row(alpha, gamma, z):
 
 @pytest.mark.parametrize("n", [20, 500])
 def test_sweep_work_arrays_change_nothing(n):
-    # sweeps that write into one set of work arrays give the boundaries of
-    # sweeps that allocate afresh, bit for bit
+    # sweeps that write every block into one set of work arrays give the
+    # boundaries of sweeps that allocate afresh, bit for bit
     p = OUBParams(alpha=1.0, gamma=0.5, z=-5.0)
     t = SolverConfig(n=n).build_grid().nodes
-    rows = _riemann_rows(p, t, t[:-2])
-    work = np.empty((2, rows[1].size))
+    rule = _Riemann(p, t)
+    rows, sweep = rule.rows(t[:-2]), rule.sweep()
     got = want = np.full(t.size, p.z)
     for _ in range(30):
-        got = _picard_sweep(p, [(0, rows)], got, work)
+        got = sweep(got)
         want = _reference_sweep(p, rows, want)
         assert np.array_equal(got, want)
 
@@ -691,7 +703,7 @@ def _reference_mixing(p, cfg):
     the next difference is taken between the two sweeps after it. Returns
     the iterate whose sweep changed it by less than eps*gamma."""
     t = cfg.build_grid().nodes
-    rows = _riemann_rows(p, t, t[:-2])
+    rows = _Riemann(p, t).rows(t[:-2])
     x = np.maximum(p.z / np.cosh(p.alpha * (1.0 - t)),
                    p.z + 0.8399 * p.gamma * np.sqrt(1.0 - t))
     x[-2:] = p.z
